@@ -26,17 +26,18 @@ namespace mft {
 class AbortToken;
 class ThreadArena;
 
-/// Per-context STA instrumentation, aggregated over both embedded
-/// scratches (the pass-level one and the one inside the D-phase
-/// workspace). Counters start at zero at context creation and after every
-/// begin_job().
+/// Per-context STA and flow instrumentation, the STA counters aggregated
+/// over both embedded scratches (the pass-level one and the one inside the
+/// D-phase workspace). Counters start at zero at context creation and after
+/// every begin_job().
 struct ContextStats {
   std::int64_t sta_full_runs = 0;
   std::int64_t sta_incremental_runs = 0;
   /// Incremental runs that took the changed-hint path (no size scan).
   std::int64_t sta_hinted_runs = 0;
   std::int64_t sta_delays_recomputed = 0;
-  std::int64_t ns_pivots = 0;  ///< network-simplex pivots of the last solve
+  std::int64_t ns_pivots = 0;  ///< network-simplex pivots, summed over the
+                               ///< job's D-phase solves
 };
 
 class SizingContext {

@@ -528,6 +528,41 @@ TEST(Engine, WritesBatchJson) {
   EXPECT_NE(content.find("\"passes\": ["), std::string::npos);
   EXPECT_NE(content.find("\"sweeps\":"), std::string::npos);
   EXPECT_NE(content.find("\"inner_threads\":"), std::string::npos);
+  EXPECT_NE(content.find("\"ns_pivots\": " +
+                         std::to_string(batch.results[0].stats.ns_pivots)),
+            std::string::npos);
+}
+
+TEST(Engine, PivotCountIsTheJobTotal) {
+  // ContextStats::ns_pivots sums every D-phase flow solve of the job, not
+  // just the last one, and restarts at zero for the next job.
+  Netlist nl = make_comparator(8);
+  LoweredCircuit lc = lower(nl);
+  const double target = 0.7 * min_sized_delay(lc.net);
+  SizingContext ctx(lc.net);
+  ctx.begin_job();
+  const PipelineResult r =
+      make_minflotransit_pipeline().run(ctx, target, 1u);
+  ASSERT_GE(r.state.iterations.size(), 2u);
+  const std::int64_t last = ctx.dphase().flow.mcf.ns_pivots;
+  const std::int64_t total = ctx.stats().ns_pivots;
+  EXPECT_GT(last, 0);
+  EXPECT_GT(total, last);
+
+  // The engine reports the same total for the same job, on a fresh context
+  // and again on the pooled context the first job left behind.
+  std::vector<SizingJob> jobs(2);
+  for (SizingJob& j : jobs) {
+    j.target_delay = target;
+    j.seed = 1u;
+  }
+  JobRunnerOptions one;
+  one.threads = 1;
+  const BatchResult batch = JobRunner(one).run({&lc.net}, jobs);
+  ASSERT_TRUE(batch.results[0].ok);
+  ASSERT_TRUE(batch.results[1].ok);
+  EXPECT_EQ(batch.results[0].stats.ns_pivots, total);
+  EXPECT_EQ(batch.results[1].stats.ns_pivots, total);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/blocks.h"
+#include "gen/iscas_analog.h"
 #include "mcf/network_simplex.h"
 #include "mcf/ssp.h"
 #include "sizing/dphase.h"
@@ -85,20 +86,194 @@ TEST(McfWorkspace, PivotStatsReported) {
   EXPECT_EQ(ws.ssp_augmentations, 1);
 }
 
-TEST(NetworkSimplexPricing, BothRulesAgree) {
-  for (std::uint64_t seed = 100; seed < 130; ++seed) {
-    const McfProblem p = random_problem(seed);
-    NetworkSimplexOptions block;
-    block.pricing = NetworkSimplexOptions::Pricing::kBlockSearch;
-    NetworkSimplexOptions cand;
-    cand.pricing = NetworkSimplexOptions::Pricing::kCandidateList;
-    const McfSolution a = solve_network_simplex(p, block);
-    const McfSolution b = solve_network_simplex(p, cand);
-    ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status == McfStatus::kOptimal) {
-      EXPECT_EQ(a.total_cost, b.total_cost) << "seed " << seed;
+// --- Bit-identity pin of the network simplex ------------------------------
+//
+// The pivot sequence is a pure function of the instance: entering arcs come
+// from the pricing rule, leaving arcs from the strongly-feasible tie-break,
+// and the basis (parent/pred/depth/pi) is a function of the tree alone, not
+// of how the tree is stored. A change to the solver's internals that keeps
+// the pivot rule must therefore reproduce these counts and hashes exactly.
+
+/// FNV-1a over the flow vector, then the potential vector.
+std::uint64_t fnv_solution(const McfSolution& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::int64_t x) {
+    const auto bits = static_cast<std::uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Flow f : s.flow) mix(f);
+  for (const Cost c : s.potential) mix(c);
+  return h;
+}
+
+struct PinnedSolve {
+  std::int64_t pivots;
+  std::uint64_t hash;
+};
+
+// The D-phase flow instance of an ISCAS analog at TILOS sizes. The delay
+// targets are the ratio-to-Dmin values bench_flow_solvers calibrates
+// (TILOS area ~1.6x minimum), so the pivot counts match the ones recorded
+// in bench/results/BENCH_flow_solvers.json.
+PinnedSolve solve_iscas_dphase(const char* name, double target_ratio) {
+  const LoweredCircuit lc =
+      lower_gate_level(make_iscas_analog(name), Tech{});
+  const TilosResult t =
+      run_tilos(lc.net, target_ratio * min_sized_delay(lc.net));
+  DPhaseWorkspace dw;
+  EXPECT_TRUE(run_dphase(lc.net, t.sizes, {}, &dw).solved) << name;
+  McfWorkspace ws;
+  const McfSolution s = solve_network_simplex(dw.flow.problem, {}, &ws);
+  EXPECT_EQ(s.status, McfStatus::kOptimal) << name;
+  EXPECT_EQ(ws.ns_pivots, dw.flow.mcf.ns_pivots) << name;
+  return {ws.ns_pivots, fnv_solution(s)};
+}
+
+// Deep layered network shaped like a D-phase dual, with capacitated and
+// negative-cost shortcuts so both leaving-arc sides and saturating pivots
+// are exercised.
+McfProblem layered_problem(std::uint64_t seed, int layers, int width) {
+  Rng rng(seed);
+  McfProblem p(layers * width);
+  auto node = [width](int l, int i) {
+    return static_cast<NodeId>(l * width + i);
+  };
+  for (int l = 0; l + 1 < layers; ++l) {
+    for (int i = 0; i < width; ++i) {
+      p.add_arc(node(l, i), node(l + 1, i), kInfFlow,
+                rng.uniform_int(0, 1000));
+      for (int e = 0; e < 2; ++e) {
+        const int j = rng.uniform_int(0, width - 1);
+        const int skip = std::min(layers - 1 - l, rng.uniform_int(1, 3));
+        if (rng.flip(0.2))
+          p.add_arc(node(l, i), node(l + skip, j), rng.uniform_int(1, 50),
+                    rng.uniform_int(-200, 1000));
+        else
+          p.add_arc(node(l, i), node(l + skip, j), kInfFlow,
+                    rng.uniform_int(0, 1000));
+      }
     }
   }
+  Flow total = 0;
+  for (int i = 0; i < width; ++i) {
+    const Flow s = rng.uniform_int(1, 20);
+    p.add_supply(node(0, i), s);
+    total += s;
+  }
+  for (int i = 0; i < width; ++i)
+    p.add_supply(node(layers - 1, i),
+                 -(i + 1 < width ? total / width
+                                 : total - (width - 1) * (total / width)));
+  return p;
+}
+
+TEST(NetworkSimplexPin, IscasDPhaseInstancesAreBitIdentical) {
+  const PinnedSolve c432 = solve_iscas_dphase("c432", 0.48789062500000002);
+  EXPECT_EQ(c432.pivots, 405);
+  EXPECT_EQ(c432.hash, 6622450698948327635ull);
+  const PinnedSolve c880 = solve_iscas_dphase("c880", 0.42851562500000001);
+  EXPECT_EQ(c880.pivots, 1081);
+  EXPECT_EQ(c880.hash, 5243602913145738471ull);
+  const PinnedSolve c2670 = solve_iscas_dphase("c2670", 0.45820312500000004);
+  EXPECT_EQ(c2670.pivots, 4032);
+  EXPECT_EQ(c2670.hash, 11587692254671241561ull);
+}
+
+TEST(NetworkSimplexPin, GeneratedLayeredInstanceIsBitIdentical) {
+  const McfProblem p = layered_problem(/*seed=*/2027, /*layers=*/300,
+                                       /*width=*/20);
+  McfWorkspace ws;
+  const McfSolution s = solve_network_simplex(p, {}, &ws);
+  ASSERT_EQ(s.status, McfStatus::kOptimal);
+  std::string why;
+  EXPECT_TRUE(check_flow_optimal(p, s, &why)) << why;
+  EXPECT_EQ(ws.ns_pivots, 10505);
+  EXPECT_EQ(fnv_solution(s), 1380594044273051824ull);
+  EXPECT_EQ(s.total_cost, 4967136);
+}
+
+// Returns "" if the workspace's basis arrays describe one spanning tree
+// over nodes 0..n rooted at the virtual node n, with a consistent preorder
+// thread, subtree sizes, last successors and tight tree arcs; otherwise
+// the first defect found.
+std::string tree_defect(const McfWorkspace& ws, int n) {
+  const auto at = [](int i) { return static_cast<std::size_t>(i); };
+  const int root = n;
+  if (ws.parent[at(root)] != kInvalidNode) return "root has a parent";
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId p = ws.parent[at(v)];
+    const ArcId a = ws.pred[at(v)];
+    if (p < 0 || p > n) return "bad parent of " + std::to_string(v);
+    const NodeId t = ws.tail[at(a)], h = ws.head[at(a)];
+    if (!((t == v && h == p) || (t == p && h == v)))
+      return "pred arc of " + std::to_string(v) + " misses its parent";
+    if (ws.pred_dir[at(v)] != (t == p ? 0 : 1))
+      return "pred_dir of " + std::to_string(v);
+    if (ws.state[at(a)] != 0) return "pred arc not in the tree";
+    if (ws.cost[at(a)] - ws.pi[at(t)] + ws.pi[at(h)] != 0)
+      return "tree arc of " + std::to_string(v) + " is not tight";
+  }
+  // The thread visits every node once, starting and ending at the root.
+  std::vector<int> pos(at(n + 1), -1);
+  std::vector<NodeId> order;
+  NodeId v = root;
+  for (int i = 0; i <= n; ++i) {
+    if (pos[at(v)] != -1) return "thread revisits " + std::to_string(v);
+    pos[at(v)] = i;
+    order.push_back(v);
+    if (ws.rev_thread[at(ws.thread[at(v)])] != v)
+      return "rev_thread disagrees at " + std::to_string(v);
+    v = ws.thread[at(v)];
+  }
+  if (v != root) return "thread is not one cycle";
+  // Each subtree is the thread segment of succ_num nodes from its root,
+  // ending at last_succ.
+  std::vector<int> size(at(n + 1), 0);
+  for (NodeId u = 0; u <= n; ++u)
+    for (NodeId w = u; w != kInvalidNode; w = ws.parent[at(w)]) {
+      ++size[at(w)];
+      if (pos[at(w)] > pos[at(u)]) return "thread is not a preorder";
+      if (pos[at(u)] >= pos[at(w)] + ws.succ_num[at(w)])
+        return "descendant outside the segment of " + std::to_string(w);
+    }
+  for (NodeId u = 0; u <= n; ++u) {
+    if (ws.succ_num[at(u)] != size[at(u)])
+      return "succ_num of " + std::to_string(u);
+    if (ws.last_succ[at(u)] !=
+        order[at(pos[at(u)] + ws.succ_num[at(u)] - 1)])
+      return "last_succ of " + std::to_string(u);
+  }
+  return "";
+}
+
+TEST(NetworkSimplexTree, BasisArraysStayConsistentAfterEveryPivot) {
+  // Stopping the solver with the pivot cap leaves the basis of an
+  // intermediate pivot in the workspace; check it after each one, before
+  // the next pivot can trip over a broken thread.
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const McfProblem p = random_problem(seed);
+    McfWorkspace ws;
+    for (std::int64_t k = 1;; ++k) {
+      ASSERT_LT(k, 10000) << "seed " << seed;
+      NetworkSimplexOptions opt;
+      opt.max_pivots = k;
+      bool finished = true;
+      try {
+        solve_network_simplex(p, opt, &ws);
+      } catch (const CheckError&) {
+        finished = false;  // stopped before pivot k + 1
+      }
+      const std::string defect = tree_defect(ws, p.num_nodes());
+      ASSERT_EQ(defect, "") << "seed " << seed << " after pivot " << k;
+      ++checked;
+      if (finished) break;
+    }
+  }
+  EXPECT_GT(checked, 500);
 }
 
 class DPhaseWorkspaceTest : public ::testing::Test {
