@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "gen/tiled.h"
 #include "sizing/resize.h"
 #include "sizing/tilos.h"
 #include "util/str.h"
@@ -39,27 +40,6 @@ using namespace mft;
 using namespace mft::bench;
 
 namespace {
-
-/// Same wide-datapath array as bench_inner (kept in sync by hand — the
-/// generator is 15 lines): `slices` independent `bits`-bit ripple-carry
-/// chains, the single-large-circuit shape the serving path targets.
-Netlist make_wide_datapath(int slices, int bits) {
-  Netlist nl(strf("datapath%dx%d", slices, bits));
-  for (int s = 0; s < slices; ++s) {
-    const std::string p = "s" + std::to_string(s);
-    GateId carry = nl.add_input(p + "_cin");
-    for (int i = 0; i < bits; ++i) {
-      const GateId a = nl.add_input(strf("%s_a%d", p.c_str(), i));
-      const GateId b = nl.add_input(strf("%s_b%d", p.c_str(), i));
-      const AdderBits fa =
-          add_full_adder_nand(nl, a, b, carry, strf("%s_fa%d", p.c_str(), i));
-      carry = fa.cout;
-      nl.mark_output(fa.sum);
-    }
-    nl.mark_output(carry);
-  }
-  return nl;
-}
 
 /// Deterministic clustered perturbation: the first `count` non-source
 /// vertices whose level falls in a band around the middle of the network —
@@ -91,7 +71,9 @@ int main(int argc, char** argv) {
   const int bits = bench_int_flag(argc, argv, "--bits", nullptr, 24);
   const bool full_size = slices >= 256 && bits >= 24;
 
-  Netlist nl = make_wide_datapath(slices, bits);
+  // `slices` independent `bits`-bit ripple-carry chains (bench_inner's
+  // instance): the single-large-circuit shape the serving path targets.
+  Netlist nl = make_tiled_datapath({slices, /*stages=*/1, bits});
   LoweredCircuit lc = lower_gate_level(nl, Tech{});
   const int n = lc.net.num_vertices();
   const double dmin = min_sized_delay(lc.net);

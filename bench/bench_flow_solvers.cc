@@ -2,17 +2,24 @@
 //
 // Two sections:
 //  1. Real D-phase instances — the LP of eq. (10) built from TILOS-sized
-//     ISCAS analogs — solved end-to-end through run_dphase with each
-//     backend solver.
+//     ISCAS analogs. dphase/<c>/network_simplex times one whole run_dphase
+//     (STA, LP, network simplex); dphase/<c>/network_simplex_ws the same
+//     with a persistent workspace; dphase/<c>/ssp times solve_ssp alone on
+//     the flow problem that workspace cached, cross-checked against the
+//     network simplex's optimal cost.
 //  2. Generated layered min-cost-flow instances of growing size (deep,
 //     chain-heavy networks shaped like circuit DAG duals), solved directly
-//     with the network simplex. This is the hot-path scaling curve; the
-//     largest instance is the PR-over-PR perf gate.
+//     with the network simplex. This is the hot-path scaling curve.
 //
 // Results go to stdout and to BENCH_flow_solvers.json (see BenchJson).
+// Every row records its best-of count; the last row records
+// hw_concurrency. Wall times are comparable only on the same machine:
+// bench/BASELINE_flow_solvers.json was recorded on different hardware, so
+// compare against it only through a same-machine run of the older code.
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <thread>
 
 #include "bench_common.h"
 #include "mcf/network_simplex.h"
@@ -87,6 +94,8 @@ McfProblem make_layered(std::uint64_t seed, int layers, int width,
   return p;
 }
 
+constexpr int kDphaseBestOf = 3;
+
 double time_best_of(int reps, const std::function<void()>& fn) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -102,50 +111,61 @@ double time_best_of(int reps, const std::function<void()>& fn) {
 int main() {
   BenchJson json;
 
-  // --- Section 1: D-phase instances through each backend -----------------
+  // --- Section 1: D-phase instances -------------------------------------
   const std::vector<std::string> circuits = {"c432", "c880", "c1355", "c2670"};
-  const std::vector<std::pair<const char*, FlowSolver>> solvers = {
-      {"network_simplex", FlowSolver::kNetworkSimplex},
-      {"ssp", FlowSolver::kSsp},
-  };
   std::printf("%-34s %12s %14s %12s\n", "benchmark", "wall (ms)",
               "constraints", "objective");
   for (const std::string& name : circuits) {
     const Prepared& p = prepared(name);
-    for (const auto& [sname, solver] : solvers) {
-      if (solver == FlowSolver::kSsp && name == "c2670") continue;
-      DPhaseOptions opt;
-      opt.solver = solver;
-      DPhaseResult r;
-      const double secs = time_best_of(3, [&] {
-        r = run_dphase(p.lc.net, p.sizes, opt);
-      });
-      const std::string bname = "dphase/" + name + "/" + sname;
-      std::printf("%-34s %12.3f %14d %12.4f\n", bname.c_str(), secs * 1e3,
-                  r.num_constraints, r.objective);
-      std::fflush(stdout);
-      json.add(bname, secs,
-               {{"constraints", static_cast<double>(r.num_constraints)},
-                {"objective", r.objective}});
-    }
-    // Steady-state with a persistent workspace: the LP + flow problem are
-    // built on the first call, later calls only rewrite costs/supplies.
     {
-      DPhaseWorkspace ws;
-      DPhaseResult r = run_dphase(p.lc.net, p.sizes, {}, &ws);  // warm up
-      const double secs = time_best_of(3, [&] {
-        r = run_dphase(p.lc.net, p.sizes, {}, &ws);
+      DPhaseResult r;
+      const double secs = time_best_of(kDphaseBestOf, [&] {
+        r = run_dphase(p.lc.net, p.sizes, {});
       });
-      const std::string bname = "dphase/" + name + "/network_simplex_ws";
+      const std::string bname = "dphase/" + name + "/network_simplex";
       std::printf("%-34s %12.3f %14d %12.4f\n", bname.c_str(), secs * 1e3,
                   r.num_constraints, r.objective);
       std::fflush(stdout);
       json.add(bname, secs,
                {{"constraints", static_cast<double>(r.num_constraints)},
                 {"objective", r.objective},
-                {"pivots", static_cast<double>(ws.flow.mcf.ns_pivots)},
-                {"problem_builds", static_cast<double>(ws.problem_builds())}});
+                {"best_of", kDphaseBestOf}});
     }
+    // Steady-state with a persistent workspace: the LP + flow problem are
+    // built on the first call, later calls only rewrite costs/supplies.
+    DPhaseWorkspace ws;
+    DPhaseResult r = run_dphase(p.lc.net, p.sizes, {}, &ws);  // warm up
+    const double secs = time_best_of(kDphaseBestOf, [&] {
+      r = run_dphase(p.lc.net, p.sizes, {}, &ws);
+    });
+    const std::string bname = "dphase/" + name + "/network_simplex_ws";
+    std::printf("%-34s %12.3f %14d %12.4f\n", bname.c_str(), secs * 1e3,
+                r.num_constraints, r.objective);
+    std::fflush(stdout);
+    json.add(bname, secs,
+             {{"constraints", static_cast<double>(r.num_constraints)},
+              {"objective", r.objective},
+              {"pivots", static_cast<double>(ws.flow.mcf.ns_pivots)},
+              {"problem_builds", static_cast<double>(ws.problem_builds())},
+              {"best_of", kDphaseBestOf}});
+    // SSP on the cached flow instance (too slow on c2670 to be useful).
+    if (name == "c2670") continue;
+    const McfProblem& flow = ws.flow.problem;
+    const Cost ns_cost = solve_network_simplex(flow).total_cost;
+    McfWorkspace ssp_ws;
+    McfSolution sol;
+    const double ssp_secs = time_best_of(kDphaseBestOf, [&] {
+      sol = solve_ssp(flow, ssp_ws);
+    });
+    MFT_CHECK(sol.status == McfStatus::kOptimal && sol.total_cost == ns_cost);
+    const std::string sname = "dphase/" + name + "/ssp";
+    std::printf("%-34s %12.3f %14d %12s\n", sname.c_str(), ssp_secs * 1e3,
+                r.num_constraints, "(flow only)");
+    std::fflush(stdout);
+    json.add(sname, ssp_secs,
+             {{"constraints", static_cast<double>(r.num_constraints)},
+              {"flow_cost", static_cast<double>(sol.total_cost)},
+              {"best_of", kDphaseBestOf}});
   }
 
   // --- Section 2: network simplex on generated layered instances ---------
@@ -178,7 +198,8 @@ int main() {
              {{"nodes", static_cast<double>(p.num_nodes())},
               {"arcs", static_cast<double>(p.num_arcs())},
               {"pivots", static_cast<double>(ws.ns_pivots)},
-              {"cost", static_cast<double>(sol.total_cost)}});
+              {"cost", static_cast<double>(sol.total_cost)},
+              {"best_of", static_cast<double>(reps)}});
     // Cross-check the small instance against SSP.
     if (p.num_nodes() <= 5000) {
       const McfSolution ref = solve_ssp(p);
@@ -187,6 +208,9 @@ int main() {
     }
   }
 
+  json.add("flow_solvers/summary", 0.0,
+           {{"hw_concurrency",
+             static_cast<double>(std::thread::hardware_concurrency())}});
   if (!json.write("BENCH_flow_solvers.json"))
     std::fprintf(stderr, "warning: could not write BENCH_flow_solvers.json\n");
   return 0;

@@ -30,6 +30,7 @@
 #include <thread>
 
 #include "bench_common.h"
+#include "gen/tiled.h"
 #include "sizing/wphase.h"
 #include "timing/sta.h"
 #include "util/parallel.h"
@@ -44,30 +45,6 @@ bool reports_identical(const TimingReport& a, const TimingReport& b) {
   return a.delay == b.delay && a.at == b.at && a.rt == b.rt &&
          a.slack == b.slack && a.critical_path == b.critical_path &&
          a.cp_vertex == b.cp_vertex;
-}
-
-/// The largest generated instance: a wide datapath array — `slices`
-/// independent `bits`-bit ripple-carry chains in one netlist (the shape of
-/// a big multi-lane datapath, and of the sharded-solve workloads 10-100x
-/// beyond c7552). Width scales with `slices`, depth with `bits`, which is
-/// exactly the single-large-circuit case the level-parallel inner loop
-/// exists for.
-Netlist make_wide_datapath(int slices, int bits) {
-  Netlist nl(strf("datapath%dx%d", slices, bits));
-  for (int s = 0; s < slices; ++s) {
-    const std::string p = "s" + std::to_string(s);
-    GateId carry = nl.add_input(p + "_cin");
-    for (int i = 0; i < bits; ++i) {
-      const GateId a = nl.add_input(strf("%s_a%d", p.c_str(), i));
-      const GateId b = nl.add_input(strf("%s_b%d", p.c_str(), i));
-      const AdderBits fa = add_full_adder_nand(
-          nl, a, b, carry, strf("%s_fa%d", p.c_str(), i));
-      carry = fa.cout;
-      nl.mark_output(fa.sum);
-    }
-    nl.mark_output(carry);
-  }
-  return nl;
 }
 
 // ---------------------------------------------------------------------------
@@ -231,7 +208,12 @@ int main(int argc, char** argv) {
   if (par_threads <= 0) par_threads = std::max(4u, hw ? hw : 1u);
   const int repeats = 40;
 
-  const Netlist nl = make_wide_datapath(/*slices=*/256, /*bits=*/24);
+  // The largest generated instance: 256 independent 24-bit ripple-carry
+  // chains in one netlist. Width scales with the lanes, depth with the
+  // bits: the single-large-circuit case the level-parallel inner loop
+  // exists for.
+  const Netlist nl = make_tiled_datapath({/*lanes=*/256, /*stages=*/1,
+                                          /*bits=*/24});
   const LoweredCircuit lc = lower_gate_level(nl, Tech{});
   const SizingNetwork& net = lc.net;
   const int n = net.num_vertices();

@@ -80,9 +80,7 @@
 
 #include "engine/runner.h"
 #include "engine/stream.h"
-#include "gen/blocks.h"
-#include "gen/iscas_analog.h"
-#include "gen/tiled.h"
+#include "gen/registry.h"
 #include "netlist/bench_io.h"
 #include "netlist/netlist.h"
 #include "netlist/stats.h"
@@ -122,7 +120,6 @@ struct Args {
   bool wires = false;
   bool tilos_only = false;
   bool histogram = false;
-  bool fast_math = false;
 };
 
 /// One line per accepted flag — printed whenever parsing fails, so an
@@ -165,13 +162,6 @@ const char* option_listing() {
       "                        (directives: target R | load V DB | pin V S "
       "|\n"
       "                        apply; '#' comments)\n"
-      "  --fast-math           FP-reassociated delay folds: faster, "
-      "reproducible\n"
-      "                        for a fixed binary but NOT bit-identical to "
-      "the\n"
-      "                        default exact mode (incompatible with "
-      "--shards,\n"
-      "                        whose reconciliation is bit-identity-gated)\n"
       "  --json PATH           write machine-readable results as JSON\n"
       "  --csv PATH            write the per-element sizing CSV (single "
       "run)\n"
@@ -182,37 +172,6 @@ const char* option_listing() {
   std::fprintf(stderr, "error: %s\nusage: mft_cli [options]\noptions:\n%s",
                msg, option_listing());
   std::exit(2);
-}
-
-/// Every built-in --circuit spelling, one per line (patterns shown with
-/// their parameter syntax). Shared by --list-circuits and the unknown
-/// circuit diagnostic.
-std::string circuit_listing() {
-  std::string out;
-  out += "  c17             the 6-NAND c17 benchmark\n";
-  out += "  adder<N>        N-bit ripple-carry adder, e.g. adder32\n";
-  out += "  tiled<L>x<S>x<B> L-lane S-stage B-bit tiled datapath mesh,\n";
-  out += "                  e.g. tiled64x48x4 (~110k gates)\n";
-  for (const IscasAnalogSpec& spec : iscas85_specs()) {
-    const std::size_t pad =
-        spec.name.size() < 16 ? 16 - spec.name.size() : 1;
-    out += "  " + spec.name + std::string(pad, ' ') + spec.function + "\n";
-  }
-  return out;
-}
-
-/// Parses "tiled<L>x<S>x<B>"; returns false if `name` is not of that form.
-bool parse_tiled_name(const std::string& name, TiledDatapathParams& p) {
-  int lanes = 0, stages = 0, bits = 0;
-  char tail = '\0';
-  if (std::sscanf(name.c_str(), "tiled%dx%dx%d%c", &lanes, &stages, &bits,
-                  &tail) != 3 ||
-      lanes < 1 || stages < 1 || bits < 1)
-    return false;
-  p.lanes = lanes;
-  p.stages = stages;
-  p.bits = bits;
-  return true;
 }
 
 std::vector<double> parse_ratio_list(const std::string& s) {
@@ -282,10 +241,9 @@ Args parse(int argc, char** argv) {
     }
     else if (f == "--shed") a.shed = true;
     else if (f == "--streaming") a.streaming = true;
-    else if (f == "--fast-math") a.fast_math = true;
     else if (f == "--list-circuits") {
       std::printf("built-in circuits (--circuit NAME):\n%s",
-                  circuit_listing().c_str());
+                  named_circuit_listing().c_str());
       std::exit(0);
     }
     else if (f == "--eco") a.eco_path = value(i);
@@ -308,11 +266,6 @@ Args parse(int argc, char** argv) {
     usage("--priority needs --streaming (the batch engine ignores it)");
   if (a.shed && !a.streaming)
     usage("--shed needs --streaming (shedding is a queue policy)");
-  if (a.fast_math && a.shards > 0)
-    usage(
-        "--fast-math cannot be combined with --shards: shard "
-        "reconciliation depends on bit-identical re-evaluation of boundary "
-        "timing, which FP-reassociated folds do not guarantee");
   if (!a.eco_path.empty() && (a.sweep || a.shards > 0 || a.streaming))
     usage(
         "--eco is a single warm-session mode; drop --sweep / --shards / "
@@ -340,17 +293,12 @@ Netlist build_circuit(const Args& a) {
     }
   }
   try {
-    if (a.circuit == "c17") return make_c17();
-    if (a.circuit.rfind("adder", 0) == 0)
-      return make_ripple_adder(std::atoi(a.circuit.c_str() + 5));
-    TiledDatapathParams tp;
-    if (parse_tiled_name(a.circuit, tp)) return make_tiled_datapath(tp);
-    return make_iscas_analog(a.circuit);
+    return make_named_circuit(a.circuit);
   } catch (const std::exception& e) {
     std::fprintf(stderr,
-                 "error: unknown --circuit '%s':\n  %s\n"
+                 "error: cannot build --circuit '%s':\n  %s\n"
                  "available circuits:\n%s",
-                 a.circuit.c_str(), e.what(), circuit_listing().c_str());
+                 a.circuit.c_str(), e.what(), named_circuit_listing().c_str());
     std::exit(2);
   }
 }
@@ -362,7 +310,6 @@ JobRunnerOptions make_runner_options(const Args& args) {
   ropt.threads = args.threads;
   ropt.inner_threads = args.inner_threads;
   ropt.context_cache_limit = args.context_cache;
-  ropt.fast_math = args.fast_math;
   return ropt;
 }
 

@@ -3,19 +3,17 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "gen/blocks.h"
-#include "gen/iscas_analog.h"
-#include "gen/tiled.h"
+#include "gen/registry.h"
 #include "sizing/resize.h"
 #include "util/check.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/str.h"
 
 namespace mft {
@@ -211,26 +209,6 @@ bool get_flag(const JsonObj& obj, const char* key) {
   return false;
 }
 
-void json_escape(std::string& dst, const std::string& s) {
-  char buf[8];
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      dst.push_back('\\');
-      dst.push_back(c);
-    } else if (c == '\n') {
-      dst += "\\n";
-    } else if (c == '\t') {
-      dst += "\\t";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      dst += buf;
-    } else {
-      dst.push_back(c);
-    }
-  }
-}
-
 /// Incremental JSON-object line builder for responses.
 class JsonLine {
  public:
@@ -292,19 +270,6 @@ std::uint64_t sizes_hash(const std::vector<double>& sizes) {
   return h;
 }
 
-bool parse_tiled(const std::string& name, TiledDatapathParams& p) {
-  int lanes = 0, stages = 0, bits = 0;
-  char tail = '\0';
-  if (std::sscanf(name.c_str(), "tiled%dx%dx%d%c", &lanes, &stages, &bits,
-                  &tail) != 3 ||
-      lanes < 1 || stages < 1 || bits < 1)
-    return false;
-  p.lanes = lanes;
-  p.stages = stages;
-  p.bits = bits;
-  return true;
-}
-
 /// Shared by live submits and journal replay: both carry the same flat
 /// key set, so a journaled submit record round-trips through this exactly
 /// like the original request line did.
@@ -321,22 +286,6 @@ SizingJob job_from_obj(const JsonObj& obj, const std::string& circuit) {
       static_cast<int>(get_number(obj, "inner_threads", 0.0));
   job.seed = static_cast<std::uint64_t>(get_number(obj, "seed", 0.0));
   return job;
-}
-
-Netlist build_circuit(const std::string& name) {
-  if (name == "c17") return make_c17();
-  if (name.rfind("adder", 0) == 0) {
-    const int bits = std::atoi(name.c_str() + 5);
-    if (bits >= 1) return make_ripple_adder(bits);
-  }
-  TiledDatapathParams tp;
-  if (parse_tiled(name, tp)) return make_tiled_datapath(tp);
-  try {
-    return make_iscas_analog(name);
-  } catch (const std::exception& e) {
-    throw EngineError(EngineStatus::kInvalidInput,
-                      strf("unknown circuit '%s': %s", name.c_str(), e.what()));
-  }
 }
 
 }  // namespace
@@ -965,7 +914,6 @@ std::string SizingDaemon::config_record() const {
       .integer("version", 1)
       .str("base_seed", strf("%llu", static_cast<unsigned long long>(
                                          opt_.engine.base_seed)))
-      .boolean("fast_math", opt_.engine.fast_math)
       .done();
 }
 
@@ -1113,16 +1061,17 @@ void SizingDaemon::recover_from_journal() {
   }
   // Config gate: replaying under a different base_seed or FP contract
   // would *run* — and silently produce different sizes than the journal's
-  // clients were promised. Refuse recovery, preserve the file untouched
-  // as operator evidence (rotation stays off so it cannot erode), and
-  // serve on fresh.
+  // clients were promised. Journals from before the exact delay folds
+  // became the only mode carry a "fast_math" key; true means their results
+  // came from reassociated folds this engine cannot reproduce. Refuse
+  // recovery, preserve the file untouched as operator evidence (rotation
+  // stays off so it cannot erode), and serve on fresh.
   if (has_config) {
     const int ver = static_cast<int>(get_number(config, "version", 1.0));
     const std::uint64_t seed = std::strtoull(
         get_string(config, "base_seed", "0").c_str(), nullptr, 10);
-    const bool fm = get_flag(config, "fast_math");
-    if (ver != 1 || seed != opt_.engine.base_seed ||
-        fm != opt_.engine.fast_math) {
+    const bool fast_math = get_flag(config, "fast_math");
+    if (ver != 1 || seed != opt_.engine.base_seed || fast_math) {
       std::lock_guard<std::mutex> lock(mu_);
       ++journal_errors_;
       compaction_disabled_ = true;
@@ -1136,13 +1085,12 @@ void SizingDaemon::recover_from_journal() {
               .str("error",
                    strf("journal config incompatible: journal has version "
                         "%d base_seed %llu fast_math %s, engine has "
-                        "version 1 base_seed %llu fast_math %s; refusing "
+                        "version 1 base_seed %llu fast_math false; refusing "
                         "to replay (journal preserved)",
                         ver, static_cast<unsigned long long>(seed),
-                        fm ? "true" : "false",
+                        fast_math ? "true" : "false",
                         static_cast<unsigned long long>(
-                            opt_.engine.base_seed),
-                        opt_.engine.fast_math ? "true" : "false"))
+                            opt_.engine.base_seed)))
               .uinteger("records", records.size())
               .uinteger("recovered", 0)
               .done());
@@ -1367,7 +1315,7 @@ const SizingNetwork& SizingDaemon::circuit(const std::string& name) {
   // lifetime, so queued jobs' network pointers stay valid.
   auto it = circuits_.find(name);
   if (it == circuits_.end()) {
-    Netlist nl = build_circuit(name);
+    Netlist nl = make_named_circuit(name);
     auto lowered =
         std::make_unique<LoweredCircuit>(lower_gate_level(nl, Tech{}));
     it = circuits_.emplace(name, std::move(lowered)).first;

@@ -82,15 +82,17 @@
 // result was emitted but not yet journaled is re-run and re-emitted.
 //
 // Every journal begins with a config snapshot record pinning the fields
-// replay determinism depends on (base_seed, fast_math); a daemon started
-// on a journal whose snapshot does not match its own configuration
-// refuses recovery — it emits {"event":"replay","ok":false,...},
-// preserves the file untouched for the operator, and serves on without
-// replaying anything. ECO sessions are durable too: the base submit and
-// every resize delta are journaled write-ahead, and recovery re-runs the
-// base (bit-identical by the seed contract) and re-applies the resize
-// chain in order, re-emitting only resizes whose results never made it
-// to the journal. When DaemonOptions::journal_compact_bytes is set, the
+// replay determinism depends on (version, base_seed). Journals written
+// before the exact delay folds became the only mode may also carry
+// "fast_math"; replay reads it as untrusted input and treats true as a
+// mismatch (false or absent replays). A daemon started on a journal
+// whose snapshot does not match its own configuration refuses recovery —
+// it emits {"event":"replay","ok":false,...}, preserves the file untouched
+// for the operator, and serves on without replaying anything. ECO
+// sessions are durable too: the base submit and every resize delta are
+// journaled write-ahead, and recovery re-runs the base (bit-identical by
+// the seed contract) and re-applies the resize chain in order, re-emitting
+// only resizes whose results never made it to the journal. When DaemonOptions::journal_compact_bytes is set, the
 // journal is also rotated while serving: once it grows past the bound it
 // is rewritten down to its live set (config snapshot + unfinished
 // submits + live session records), so a long-lived daemon's journal

@@ -34,7 +34,7 @@ struct SizingJob {
   /// Absolute delay target; when > 0 it overrides target_ratio (used by
   /// benches whose targets are calibrated rather than ratio-derived).
   double target_delay = 0.0;
-  /// Full optimizer configuration (TILOS bump, D-phase β/solver, stopping).
+  /// Full optimizer configuration (TILOS bump, D-phase β, stopping).
   MinflotransitOptions options;
   /// Free-form tag echoed into the result and the JSON emission.
   std::string label;
@@ -106,10 +106,6 @@ struct JobResult {
   int inner_threads = 1;       ///< resolved inner-loop thread count
   int shard = -1;              ///< SizingJob::shard, echoed
   int shard_round = 0;         ///< SizingJob::shard_round, echoed
-  /// True when the job ran with FP-reassociated delay folds
-  /// (JobRunnerOptions::fast_math). Echoed into the batch JSON so emitted
-  /// numbers are never silently non-reproducible.
-  bool fast_math = false;
   ContextStats stats;          ///< per-job STA/flow instrumentation
   /// Per-pass instrumentation of the job's pipeline run (invocations, wall
   /// seconds, W-phase sweeps), in pipeline order.

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "util/json.h"
 #include "util/stopwatch.h"
 
 namespace mft {
@@ -58,26 +59,6 @@ std::vector<int> resolve_batch_inner_threads(
 }
 
 namespace {
-
-void json_escape(std::string& dst, const std::string& s) {
-  char buf[8];
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      dst.push_back('\\');
-      dst.push_back(c);
-    } else if (c == '\n') {
-      dst += "\\n";
-    } else if (c == '\t') {
-      dst += "\\t";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      dst += buf;
-    } else {
-      dst.push_back(c);
-    }
-  }
-}
 
 }  // namespace
 
@@ -202,8 +183,7 @@ bool write_batch_json(const std::string& path, const BatchResult& batch) {
           "\"sta_hinted_runs\": %lld, \"sta_delays_recomputed\": %lld, "
           "\"ns_pivots\": %lld,\n"
           "     \"seed\": %llu, \"thread\": %d, \"inner_threads\": %d,\n"
-          "     \"shard\": %d, \"shard_round\": %d, \"fast_math\": %s, "
-          "\"attempts\": %d,\n"
+          "     \"shard\": %d, \"shard_round\": %d, \"attempts\": %d,\n"
           "     \"passes\": [",
           label.c_str(), to_string(r.status), r.degraded ? "true" : "false",
           r.result.met_target ? "true" : "false", r.dmin,
@@ -216,7 +196,7 @@ bool write_batch_json(const std::string& path, const BatchResult& batch) {
           static_cast<long long>(r.stats.sta_delays_recomputed),
           static_cast<long long>(r.stats.ns_pivots),
           static_cast<unsigned long long>(r.seed), r.thread, r.inner_threads,
-          r.shard, r.shard_round, r.fast_math ? "true" : "false", r.attempts);
+          r.shard, r.shard_round, r.attempts);
       for (std::size_t p = 0; p < r.pass_stats.size(); ++p) {
         const PassStats& ps = r.pass_stats[p];
         std::string pass_name;

@@ -49,7 +49,7 @@ namespace {
 /// seed must already be resolved (submit/run do that deterministically).
 void execute_job(const SizingJob& job, JobTicket ticket, double dmin,
                  double min_area, SizingContext& ctx, ThreadArena* arena,
-                 AbortToken* token, bool fast_math, JobResult& out) {
+                 AbortToken* token, JobResult& out) {
   out.job = static_cast<int>(ticket);
   out.label = job.label;
   out.dmin = dmin;
@@ -61,16 +61,12 @@ void execute_job(const SizingJob& job, JobTicket ticket, double dmin,
   out.inner_threads = arena != nullptr ? arena->threads() : 1;
   out.shard = job.shard;
   out.shard_round = job.shard_round;
-  out.fast_math = fast_math;
   Stopwatch sw;
   try {
     MFT_FAULT_POINT("stream.execute");
     ctx.begin_job();
     ctx.set_arena(arena);
     ctx.set_abort(token);
-    // Per-job, not sticky: a pooled context's previous job may have run in
-    // the other delay mode; the scratches force a full recompute on a flip.
-    ctx.set_fast_math(fast_math);
     // Thread the resolved per-job seed into the pipeline so a stochastic
     // pass (none in the default pipeline) is reproducible at any thread
     // count. Running the pipeline directly (instead of through the
@@ -539,7 +535,7 @@ void StreamingRunner::worker_main(int worker_id, WorkerSlot* slot) {
       JobResult out;
       execute_job(item.job, item.ticket, info.dmin, info.min_area,
                   pool.acquire(*item.net), inner > 1 ? arena.get() : nullptr,
-                  item.token.get(), opt_.fast_math, out);
+                  item.token.get(), out);
       slot->busy.store(0, std::memory_order_release);
       if (item.token != nullptr) item.token->attach_heartbeat(nullptr);
       out.thread = worker_id;

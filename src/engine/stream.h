@@ -110,13 +110,6 @@ struct JobRunnerOptions {
   /// whose rebuilt shard networks have fresh serials every round) should
   /// set a small bound.
   int context_cache_limit = 0;
-  /// Run every job with FP-reassociated delay folds
-  /// (SizingContext::set_fast_math). Off by default. Results are then
-  /// reproducible for a fixed binary but NOT bit-identical to the exact
-  /// mode, so this must never be combined with bit-identity-gated paths
-  /// (sharded solves, streaming-vs-batch equivalence checks); the CLI
-  /// rejects the combination. Echoed per job into JobResult::fast_math.
-  bool fast_math = false;
   /// Overload shedding: when true, a job popped off the queue after its
   /// wall-clock deadline already passed is failed immediately with
   /// EngineStatus::kShed ("load shed") instead of being run — the deadline

@@ -6,15 +6,14 @@
 
 namespace mft {
 
-int tiled_datapath_gates(const TiledDatapathParams& p) {
+std::int64_t tiled_datapath_gates(const TiledDatapathParams& p) {
   // One 9-NAND full adder per bit per tile.
-  return p.lanes * p.stages * p.bits * 9;
+  return std::int64_t{9} * p.lanes * p.stages * p.bits;
 }
 
 Netlist make_tiled_datapath(const TiledDatapathParams& p) {
   MFT_CHECK(p.lanes >= 1 && p.stages >= 1 && p.bits >= 1);
-  Netlist nl(strf("tiled%dx%dx%d%s", p.lanes, p.stages, p.bits,
-                  p.mesh ? "" : "_nomesh"));
+  Netlist nl(strf("tiled%dx%dx%d", p.lanes, p.stages, p.bits));
 
   // value[t] = current running word of lane t; carry[t] = its carry chain.
   std::vector<std::vector<GateId>> value(static_cast<std::size_t>(p.lanes));
@@ -48,13 +47,10 @@ Netlist make_tiled_datapath(const TiledDatapathParams& p) {
     }
     // Next stage's operand for lane t: the word lane t−1 just produced
     // (lane 0 wraps to the last lane — still a DAG, the operand is from
-    // stage s and consumed at stage s+1). Without mesh a lane feeds only
-    // itself with its own word (a squaring chain).
-    for (int t = 0; t < p.lanes; ++t) {
-      const int from = p.mesh ? (t + p.lanes - 1) % p.lanes : t;
+    // stage s and consumed at stage s+1).
+    for (int t = 0; t < p.lanes; ++t)
       operand[static_cast<std::size_t>(t)] =
-          next[static_cast<std::size_t>(from)];
-    }
+          next[static_cast<std::size_t>((t + p.lanes - 1) % p.lanes)];
     value = std::move(next);
   }
 

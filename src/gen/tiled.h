@@ -11,12 +11,15 @@
 // meaningful partitioning benchmark rather than `lanes` independent
 // circuits. All connections point forward in (stage, then bit) order, so
 // the netlist is a DAG by construction. Deterministic: no randomness at
-// all, the same params always produce the same netlist.
+// all, the same params always produce the same netlist; with stages = 1 it
+// is `lanes` independent `bits`-bit ripple-carry chains.
 //
 // Size ≈ lanes × stages × bits × 9 NAND gates (a 9-NAND full adder per
 // bit): the default 64 × 48 × 4 is ~110k sizing vertices after gate
 // lowering; 128 × 96 × 7 is ~800k.
 #pragma once
+
+#include <cstdint>
 
 #include "netlist/netlist.h"
 
@@ -26,14 +29,10 @@ struct TiledDatapathParams {
   int lanes = 64;   ///< parallel lanes (level width)
   int stages = 48;  ///< pipeline stages (level depth)
   int bits = 4;     ///< ripple-adder bits per tile
-  /// Cross-lane mesh coupling: stage s of lane t consumes stage s−1 of
-  /// lane t−1. Off = `lanes` independent deep adder chains (the
-  /// bench_inner shape) — kept as an ablation knob for the partitioner.
-  bool mesh = true;
 };
 
-/// Approximate logic-gate count for `p` (exact for the current tile).
-int tiled_datapath_gates(const TiledDatapathParams& p);
+/// Logic-gate count for `p`, in 64-bit arithmetic.
+std::int64_t tiled_datapath_gates(const TiledDatapathParams& p);
 
 Netlist make_tiled_datapath(const TiledDatapathParams& p = {});
 

@@ -38,7 +38,6 @@ class DenseLp {
   std::optional<Solution> solve() const;
 
   int num_vars() const { return num_vars_; }
-  int num_rows() const { return static_cast<int>(rhs_.size()); }
 
  private:
   int num_vars_;

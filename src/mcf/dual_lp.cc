@@ -3,21 +3,8 @@
 #include <cmath>
 
 #include "mcf/network_simplex.h"
-#include "mcf/ssp.h"
 
 namespace mft {
-
-const char* to_string(FlowSolver s) {
-  switch (s) {
-    case FlowSolver::kNetworkSimplex:
-      return "network-simplex";
-    case FlowSolver::kSsp:
-      return "ssp";
-    case FlowSolver::kCycleCanceling:
-      return "cycle-canceling";
-  }
-  return "?";
-}
 
 DualFlowLp::DualFlowLp(int num_vars) : num_vars_(num_vars) {
   MFT_CHECK(num_vars >= 0);
@@ -80,8 +67,8 @@ std::uint64_t DualFlowLp::structure_fingerprint() const {
   return h;
 }
 
-DualFlowLp::Result DualFlowLp::solve(FlowSolver solver, int cost_digits,
-                                     int supply_digits, Workspace* ws) const {
+DualFlowLp::Result DualFlowLp::solve(int cost_digits, int supply_digits,
+                                     Workspace* ws) const {
   MFT_CHECK(cost_digits >= 0 && cost_digits <= 9);
   MFT_CHECK(supply_digits >= 0 && supply_digits <= 9);
   const double cost_scale = std::pow(10.0, cost_digits);
@@ -140,18 +127,7 @@ DualFlowLp::Result DualFlowLp::solve(FlowSolver solver, int cost_digits,
     w.problem.add_supply(w.node[static_cast<std::size_t>(t.minus)], -s);
   }
 
-  McfSolution sol;
-  switch (solver) {
-    case FlowSolver::kNetworkSimplex:
-      sol = solve_network_simplex(w.problem, {}, &w.mcf);
-      break;
-    case FlowSolver::kSsp:
-      sol = solve_ssp(w.problem, w.mcf);
-      break;
-    case FlowSolver::kCycleCanceling:
-      sol = solve_cycle_canceling(w.problem);
-      break;
-  }
+  const McfSolution sol = solve_network_simplex(w.problem, {}, &w.mcf);
 
   Result res;
   res.flow_status = sol.status;

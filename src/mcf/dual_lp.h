@@ -33,12 +33,6 @@
 
 namespace mft {
 
-/// Which flow solver backs the LP. NetworkSimplex is the production choice;
-/// the others exist for cross-checking and the solver-ablation bench.
-enum class FlowSolver { kNetworkSimplex, kSsp, kCycleCanceling };
-
-const char* to_string(FlowSolver s);
-
 /// Builder + solver for the difference-constraint dual LP above.
 class DualFlowLp {
  public:
@@ -82,12 +76,11 @@ class DualFlowLp {
     int problem_builds = 0;         ///< times `problem` was reconstructed
   };
 
-  /// Solve with decimal scaling 10^cost_digits for constraint bounds and
-  /// 10^supply_digits for objective coefficients. With `ws`, the flow
-  /// problem is rebuilt only when the LP structure changed since the
-  /// workspace's last use.
-  Result solve(FlowSolver solver = FlowSolver::kNetworkSimplex,
-               int cost_digits = 4, int supply_digits = 3,
+  /// Solve by network simplex with decimal scaling 10^cost_digits for
+  /// constraint bounds and 10^supply_digits for objective coefficients.
+  /// With `ws`, the flow problem is rebuilt only when the LP structure
+  /// changed since the workspace's last use.
+  Result solve(int cost_digits = 4, int supply_digits = 3,
                Workspace* ws = nullptr) const;
 
   int num_vars() const { return num_vars_; }

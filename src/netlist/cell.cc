@@ -68,8 +68,6 @@ bool is_primitive(GateKind k) {
   }
 }
 
-bool is_inverting(GateKind k) { return is_primitive(k); }
-
 int fixed_arity(GateKind k) {
   switch (k) {
     case GateKind::kInput:

@@ -44,10 +44,6 @@ bool try_parse_gate_kind(const std::string& s, GateKind* out);
 /// (see netlist.h: tech_map_to_primitives).
 bool is_primitive(GateKind k);
 
-/// True if the gate's output is the logical complement of a monotone
-/// function of its inputs (all primitives are inverting).
-bool is_inverting(GateKind k);
-
 /// Number of inputs this kind requires, or -1 if variadic (>= 2).
 int fixed_arity(GateKind k);
 

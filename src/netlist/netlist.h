@@ -42,7 +42,6 @@ class Netlist {
 
   // --- Accessors -----------------------------------------------------------
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   int num_gates() const { return static_cast<int>(gates_.size()); }
   /// Gates excluding primary-input pseudo gates (the paper's "# Gates").

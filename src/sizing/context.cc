@@ -16,12 +16,6 @@ void SizingContext::set_arena(ThreadArena* arena) {
   dphase_.timing.arena = arena;
 }
 
-void SizingContext::set_fast_math(bool on) {
-  fast_math_ = on;
-  timing_.fast_math = on;
-  dphase_.timing.fast_math = on;
-}
-
 void SizingContext::reset_instrumentation() {
   timing_.reset_instrumentation();
   dphase_.timing.reset_instrumentation();

@@ -91,15 +91,6 @@ class SizingContext {
   void set_pins(const std::vector<double>* pins) { pins_ = pins; }
   const std::vector<double>* pins() const { return pins_; }
 
-  /// Opt-in FP-reassociated delay folds for every kernel run through this
-  /// context (TILOS STA, the pass-level scratch, the D-phase's embedded
-  /// scratch, W-phase load folds). Off by default; flipping it forces the
-  /// scratches' next run to a full recompute so exact and fast delays never
-  /// mix in one report. Never enabled on determinism-gated paths (shard
-  /// bit-identity, streaming-vs-batch equivalence).
-  void set_fast_math(bool on);
-  bool fast_math() const { return fast_math_; }
-
   /// Marks the start of a new job on a reused context: zeroes all
   /// instrumentation so per-job stats are not polluted by earlier jobs.
   /// Cached solver state (LP structure, flow arena, last-sizes vector) is
@@ -117,7 +108,6 @@ class SizingContext {
   ThreadArena* arena_ = nullptr;
   AbortToken* abort_ = nullptr;
   const std::vector<double>* pins_ = nullptr;
-  bool fast_math_ = false;
   TimingScratch timing_;
   DPhaseWorkspace dphase_;
 };

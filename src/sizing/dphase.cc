@@ -103,7 +103,7 @@ DPhaseResult run_dphase(const SizingNetwork& net,
   DPhaseResult res;
   res.num_constraints = lp.num_constraints();
   const DualFlowLp::Result sol =
-      lp.solve(opt.solver, opt.cost_digits, opt.supply_digits, &w.flow);
+      lp.solve(opt.cost_digits, opt.supply_digits, &w.flow);
   if (!sol.solved) return res;
 
   res.solved = true;

@@ -12,7 +12,7 @@
 //     non-negative displaced FSDU (causality), and r is pinned to 0 at the
 //     primary inputs and the dummy output O (Corollary 1: CP unchanged).
 //  5. The LP is the dual of a min-cost flow (eq. (10)); costs are decimally
-//     integerized and solved by network simplex (or an ablation solver).
+//     integerized and solved by network simplex.
 //
 // The result is a delay budget vector d with the same critical path that a
 // W-phase call turns back into (smaller) sizes.
@@ -26,7 +26,6 @@ namespace mft {
 
 struct DPhaseOptions {
   double beta = 0.25;  ///< trust bound: δd_i ∈ [−β, +β]·delay(i)
-  FlowSolver solver = FlowSolver::kNetworkSimplex;
   int cost_digits = 4;    ///< decimal scaling of constraint bounds (§2.3.1)
   int supply_digits = 3;  ///< decimal scaling of objective weights
   BalanceMode balance = BalanceMode::kAsap;

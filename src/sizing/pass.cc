@@ -18,7 +18,6 @@ TilosPass::TilosPass(const TilosOptions& opt) : opt_(opt) {}
 PassStatus TilosPass::run(SizingContext& ctx, PipelineState& s) {
   Stopwatch sw;
   TilosOptions opt = opt_;
-  opt.fast_math = opt.fast_math || ctx.fast_math();
   if (opt.pins == nullptr) opt.pins = ctx.pins();
   s.initial =
       run_tilos(ctx.net(), s.target_delay, opt, ctx.arena(), ctx.abort());
@@ -45,8 +44,7 @@ PassStatus WPhasePass::run(SizingContext& ctx, PipelineState& s) {
   // only have to settle the min-clamped vertices.
   const TimingReport& t0 = ctx.sta(s.sizes);
   const WPhaseResult w0 = solve_wphase(net, t0.delay, s.sizes, ctx.arena(),
-                                       ctx.abort(), ctx.fast_math(),
-                                       ctx.pins());
+                                       ctx.abort(), ctx.pins());
   s.wphase_sweeps += w0.sweeps;
   if (w0.feasible) {
     const double area0 = net.area(w0.sizes);
@@ -94,8 +92,7 @@ PassStatus DPhasePass::run(SizingContext& ctx, PipelineState& s) {
   s.dphase_changed_valid = true;
   if (!d.solved) return PassStatus::kDone;
   const WPhaseResult w = solve_wphase(net, d.budget, s.sizes, ctx.arena(),
-                                      ctx.abort(), ctx.fast_math(),
-                                      ctx.pins());
+                                      ctx.abort(), ctx.pins());
   s.wphase_sweeps += w.sweeps;
   const TimingReport& timing = ctx.sta(w.sizes);
   const double area = net.area(w.sizes);
@@ -160,10 +157,6 @@ Pipeline& Pipeline::add(std::unique_ptr<OptimizerPass> pass, int max_repeats) {
   MFT_CHECK(max_repeats >= 0);
   entries_.push_back(Entry{std::move(pass), max_repeats});
   return *this;
-}
-
-const std::string& Pipeline::pass_name(int i) const {
-  return entries_[static_cast<std::size_t>(i)].pass->name();
 }
 
 PipelineResult Pipeline::run(SizingContext& ctx, double target_delay,

@@ -172,9 +172,6 @@ class Pipeline {
   PipelineResult run(SizingContext& ctx, double target_delay,
                      std::uint64_t seed = 0) const;
 
-  int num_passes() const { return static_cast<int>(entries_.size()); }
-  const std::string& pass_name(int i) const;
-
  private:
   struct Entry {
     std::unique_ptr<OptimizerPass> pass;

@@ -214,7 +214,7 @@ bool ResizeSession::warm_global(double target, ResizeResult& res) {
   std::vector<double> budget(n);
   for (std::size_t v = 0; v < n; ++v) budget[v] = t0.delay[v] * f;
   const WPhaseResult w =
-      solve_wphase(net_, budget, sizes_, ctx_.arena(), nullptr, false,
+      solve_wphase(net_, budget, sizes_, ctx_.arena(), nullptr,
                    has_pins() ? &pins_ : nullptr);
   if (!w.feasible) return false;
   std::vector<double> cand = w.sizes;
@@ -278,7 +278,7 @@ bool ResizeSession::warm_local(double target, int lo_level, int hi_level,
     lbudget[static_cast<std::size_t>(l)] =
         lt.delay[static_cast<std::size_t>(l)] * lf;
   const WPhaseResult w =
-      solve_wphase(*sn.net, lbudget, lstart, ctx_.arena(), nullptr, false,
+      solve_wphase(*sn.net, lbudget, lstart, ctx_.arena(), nullptr,
                    any_pin ? &lpins : nullptr);
   if (!w.feasible) return false;
   std::vector<double> lsizes = w.sizes;

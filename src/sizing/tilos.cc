@@ -43,7 +43,6 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
   // O(its loaders) with no size scan; the sweeps stay O(V+E).
   TimingScratch sta;
   sta.arena = arena;
-  sta.fast_math = opt.fast_math;
   std::vector<NodeId> bumped;
   while (true) {
     const TimingReport& timing = bumped.empty()

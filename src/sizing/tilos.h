@@ -19,10 +19,6 @@ struct TilosOptions {
   double bumpsize = 1.1;  ///< paper §3 uses 1.1
   /// Safety cap on bump passes; 0 picks a generous default.
   std::int64_t max_bumps = 0;
-  /// Opt-in FP-reassociated delay folds for the per-bump STA (see
-  /// TimingScratch::fast_math). Off by default; never set on
-  /// determinism-gated paths.
-  bool fast_math = false;
   /// Optional ECO size pins (id-indexed, entry > 0 = hold that vertex at
   /// that size): pinned vertices start at the pinned size and are never
   /// bump candidates. Not owned; may be nullptr.

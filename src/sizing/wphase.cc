@@ -27,7 +27,6 @@ WPhaseResult solve_wphase_impl(const SizingNetwork& net,
                                const std::vector<double>& delay_budget,
                                const std::vector<double>& start,
                                ThreadArena* arena, AbortToken* abort,
-                               bool fast_math,
                                const std::vector<double>* pins) {
   MFT_CHECK(net.frozen());
   MFT_CHECK(static_cast<int>(delay_budget.size()) == net.num_vertices());
@@ -65,9 +64,9 @@ WPhaseResult solve_wphase_impl(const SizingNetwork& net,
 
   // One Gauss–Seidel update of the vertex at position p from the current
   // sizes_pos. Both the sequential and the level-parallel sweep run exactly
-  // this body; the load fold streams the flat CSR in original term order,
-  // so the sum is bit-identical to the historical AoS walk (or, under
-  // fast_math, the documented two-accumulator reassociation).
+  // this body; the load fold (SweepPlan::load_at) streams the flat CSR in
+  // original term order, so the sum is bit-identical to the historical AoS
+  // walk.
   auto update = [&](int p, double& max_rel_change, char& infeasible) {
     const std::size_t pi = static_cast<std::size_t>(p);
     if (pl.source[pi]) return;
@@ -80,33 +79,7 @@ WPhaseResult solve_wphase_impl(const SizingNetwork& net,
       sizes_pos[pi] = tech.max_size;
       return;
     }
-    double load;
-    if (fast_math) {
-      double acc0 = pl.b[pi];
-      double acc1 = 0.0;
-      int k = pl.load_off[pi];
-      const int end = pl.load_off[pi + 1];
-      for (; k + 1 < end; k += 2) {
-        acc0 += pl.load_coeff[static_cast<std::size_t>(k)] *
-                sizes_pos[static_cast<std::size_t>(
-                    pl.load_pos[static_cast<std::size_t>(k)])];
-        acc1 += pl.load_coeff[static_cast<std::size_t>(k + 1)] *
-                sizes_pos[static_cast<std::size_t>(
-                    pl.load_pos[static_cast<std::size_t>(k + 1)])];
-      }
-      if (k < end)
-        acc0 += pl.load_coeff[static_cast<std::size_t>(k)] *
-                sizes_pos[static_cast<std::size_t>(
-                    pl.load_pos[static_cast<std::size_t>(k)])];
-      load = acc0 + acc1;
-    } else {
-      load = pl.b[pi];
-      for (int k = pl.load_off[pi]; k < pl.load_off[pi + 1]; ++k)
-        load += pl.load_coeff[static_cast<std::size_t>(k)] *
-                sizes_pos[static_cast<std::size_t>(
-                    pl.load_pos[static_cast<std::size_t>(k)])];
-    }
-    double x = load / (d - pl.a_self[pi]);
+    double x = pl.load_at(p, sizes_pos) / (d - pl.a_self[pi]);
     if (x > tech.max_size) {
       infeasible = 1;
       x = tech.max_size;
@@ -179,18 +152,17 @@ WPhaseResult solve_wphase_impl(const SizingNetwork& net,
 WPhaseResult solve_wphase(const SizingNetwork& net,
                           const std::vector<double>& delay_budget,
                           ThreadArena* arena, AbortToken* abort,
-                          bool fast_math, const std::vector<double>* pins) {
+                          const std::vector<double>* pins) {
   return solve_wphase_impl(net, delay_budget, net.min_sizes(), arena, abort,
-                           fast_math, pins);
+                           pins);
 }
 
 WPhaseResult solve_wphase(const SizingNetwork& net,
                           const std::vector<double>& delay_budget,
                           const std::vector<double>& start,
                           ThreadArena* arena, AbortToken* abort,
-                          bool fast_math, const std::vector<double>* pins) {
-  return solve_wphase_impl(net, delay_budget, start, arena, abort, fast_math,
-                           pins);
+                          const std::vector<double>* pins) {
+  return solve_wphase_impl(net, delay_budget, start, arena, abort, pins);
 }
 
 }  // namespace mft

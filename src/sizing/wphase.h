@@ -31,10 +31,6 @@
 // levelization level at a time (contiguous position ranges), concurrent
 // within a level. Same-level vertices share no load term, so the result is
 // bit-identical to sequential at any thread count (tests/parallel_test.cc).
-//
-// Fast math: the trailing fast_math flag switches the load fold to the
-// FP-reassociated two-accumulator form (SweepPlan::delay_at_fast's fold).
-// Off by default and never enabled on determinism-gated paths.
 #pragma once
 
 #include "timing/sizing_network.h"
@@ -69,7 +65,6 @@ WPhaseResult solve_wphase(const SizingNetwork& net,
                           const std::vector<double>& delay_budget,
                           ThreadArena* arena = nullptr,
                           AbortToken* abort = nullptr,
-                          bool fast_math = false,
                           const std::vector<double>* pins = nullptr);
 
 /// Warm start from `start` (one full per-vertex size vector, sources 0).
@@ -78,7 +73,6 @@ WPhaseResult solve_wphase(const SizingNetwork& net,
                           const std::vector<double>& start,
                           ThreadArena* arena = nullptr,
                           AbortToken* abort = nullptr,
-                          bool fast_math = false,
                           const std::vector<double>* pins = nullptr);
 
 }  // namespace mft

@@ -102,49 +102,25 @@ struct SweepPlan {
   std::vector<int> fanout_off;
   std::vector<int> fanout_pos;
 
-  /// delay of the vertex at position p, sizes indexed by *position*.
-  /// Bit-identical to SizingNetwork::delay: b first, then the load terms in
-  /// their original order, one division at the end.
-  double delay_at(int p, const std::vector<double>& sizes_pos) const {
+  /// Load b + Σ a_pj·x_j of the vertex at position p, sizes indexed by
+  /// *position*: b first, then the load terms in their original order. The
+  /// one load fold behind both delay_at and the W-phase update.
+  double load_at(int p, const std::vector<double>& sizes_pos) const {
     const std::size_t pi = static_cast<std::size_t>(p);
-    if (source[pi]) return 0.0;
     double load = b[pi];
     for (int k = load_off[pi]; k < load_off[pi + 1]; ++k)
       load += load_coeff[static_cast<std::size_t>(k)] *
               sizes_pos[static_cast<std::size_t>(
                   load_pos[static_cast<std::size_t>(k)])];
-    return a_self[pi] + load / sizes_pos[pi];
+    return load;
   }
 
-  /// Fast-math variant: the load fold runs on two independent accumulators
-  /// (FP reassociation), which unlocks vectorized/pipelined reductions but
-  /// changes the last bits of the sum. Only reachable through the
-  /// explicitly gated fast-math mode — never in the default (deterministic)
-  /// configuration. Accuracy contract (layout_test enforces it): each
-  /// per-vertex delay agrees with delay_at to within 1e-12 relative (the
-  /// load terms are all positive, so the reassociated sum loses at most a
-  /// few ULP), and accumulated path quantities (AT/RT/CP) stay within
-  /// 1e-9 relative.
-  double delay_at_fast(int p, const std::vector<double>& sizes_pos) const {
+  /// delay of the vertex at position p, sizes indexed by *position*.
+  /// Bit-identical to SizingNetwork::delay: load_at, then one division.
+  double delay_at(int p, const std::vector<double>& sizes_pos) const {
     const std::size_t pi = static_cast<std::size_t>(p);
     if (source[pi]) return 0.0;
-    double acc0 = b[pi];
-    double acc1 = 0.0;
-    int k = load_off[pi];
-    const int end = load_off[pi + 1];
-    for (; k + 1 < end; k += 2) {
-      acc0 += load_coeff[static_cast<std::size_t>(k)] *
-              sizes_pos[static_cast<std::size_t>(
-                  load_pos[static_cast<std::size_t>(k)])];
-      acc1 += load_coeff[static_cast<std::size_t>(k + 1)] *
-              sizes_pos[static_cast<std::size_t>(
-                  load_pos[static_cast<std::size_t>(k + 1)])];
-    }
-    if (k < end)
-      acc0 += load_coeff[static_cast<std::size_t>(k)] *
-              sizes_pos[static_cast<std::size_t>(
-                  load_pos[static_cast<std::size_t>(k)])];
-    return a_self[pi] + (acc0 + acc1) / sizes_pos[pi];
+    return a_self[pi] + load_at(p, sizes_pos) / sizes_pos[pi];
   }
 
   /// Gather an id-indexed per-vertex vector into sweep-position order.

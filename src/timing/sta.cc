@@ -26,17 +26,11 @@ bool multi_thread(const ThreadArena* arena) {
 // overload's first run so the full and incremental paths cannot drift
 // apart.
 void full_delay_pos(const SweepPlan& pl, const std::vector<double>& sizes_pos,
-                    std::vector<double>& delay_pos, ThreadArena* arena,
-                    bool fast) {
+                    std::vector<double>& delay_pos, ThreadArena* arena) {
   delay_pos.resize(static_cast<std::size_t>(pl.n));
   auto body = [&](int, int begin, int end) {
-    if (fast) {
-      for (int p = begin; p < end; ++p)
-        delay_pos[static_cast<std::size_t>(p)] = pl.delay_at_fast(p, sizes_pos);
-    } else {
-      for (int p = begin; p < end; ++p)
-        delay_pos[static_cast<std::size_t>(p)] = pl.delay_at(p, sizes_pos);
-    }
+    for (int p = begin; p < end; ++p)
+      delay_pos[static_cast<std::size_t>(p)] = pl.delay_at(p, sizes_pos);
   };
   if (multi_thread(arena))
     arena->parallel_for(pl.n, kDelayGrain, body);
@@ -217,18 +211,14 @@ const TimingReport& run_sta_incremental(const SizingNetwork& net,
   const SweepPlan& pl = net.plan();
   TimingReport& r = scratch.report;
 
-  if (!scratch.valid || scratch.net_serial != net.serial() ||
-      scratch.fast_math != scratch.last_fast_math) {
-    // First run on this scratch (or a different network, or a delay-mode
-    // flip — exact and fast delays must never mix): full recompute.
+  if (!scratch.valid || scratch.net_serial != net.serial()) {
+    // First run on this scratch (or a different network): full recompute.
     pl.gather(sizes, scratch.sizes_pos);
-    full_delay_pos(pl, scratch.sizes_pos, scratch.delay_pos, scratch.arena,
-                   scratch.fast_math);
+    full_delay_pos(pl, scratch.sizes_pos, scratch.delay_pos, scratch.arena);
     scratch.is_dirty.assign(n, 0);
     scratch.last_sizes = sizes;
     scratch.valid = true;
     scratch.net_serial = net.serial();
-    scratch.last_fast_math = scratch.fast_math;
     ++scratch.full_runs;
     scratch.delays_recomputed += static_cast<std::int64_t>(n);
   } else {
@@ -279,20 +269,11 @@ const TimingReport& run_sta_incremental(const SizingNetwork& net,
       scratch.last_sizes = sizes;
     }
     auto recompute = [&](int, int begin, int end) {
-      if (scratch.fast_math) {
-        for (int i = begin; i < end; ++i) {
-          const int p = dirty[static_cast<std::size_t>(i)];
-          scratch.delay_pos[static_cast<std::size_t>(p)] =
-              pl.delay_at_fast(p, scratch.sizes_pos);
-          scratch.is_dirty[static_cast<std::size_t>(p)] = 0;
-        }
-      } else {
-        for (int i = begin; i < end; ++i) {
-          const int p = dirty[static_cast<std::size_t>(i)];
-          scratch.delay_pos[static_cast<std::size_t>(p)] =
-              pl.delay_at(p, scratch.sizes_pos);
-          scratch.is_dirty[static_cast<std::size_t>(p)] = 0;
-        }
+      for (int i = begin; i < end; ++i) {
+        const int p = dirty[static_cast<std::size_t>(i)];
+        scratch.delay_pos[static_cast<std::size_t>(p)] =
+            pl.delay_at(p, scratch.sizes_pos);
+        scratch.is_dirty[static_cast<std::size_t>(p)] = 0;
       }
     };
     if (multi_thread(scratch.arena))
@@ -318,7 +299,7 @@ TimingReport run_sta(const SizingNetwork& net, const std::vector<double>& sizes)
   TimingReport r;
   std::vector<double> sizes_pos, delay_pos, at_pos, rt_pos;
   pl.gather(sizes, sizes_pos);
-  full_delay_pos(pl, sizes_pos, delay_pos, nullptr, /*fast=*/false);
+  full_delay_pos(pl, sizes_pos, delay_pos, nullptr);
   run_sweeps_sequential(pl, delay_pos, at_pos, rt_pos, r.critical_path,
                         r.cp_vertex);
   export_report(pl, delay_pos, at_pos, rt_pos, r);

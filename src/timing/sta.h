@@ -32,13 +32,6 @@
 // bit-identical to the sequential sweeps (per-vertex arithmetic is
 // unchanged; the cp argmax is merged max-end-first, lowest-topological-
 // position-on-ties, exactly the sequential rule).
-//
-// Fast math: scratch.fast_math opts into FP-reassociated load folds
-// (SweepPlan::delay_at_fast) for the delay recompute. Off by default;
-// results then differ from the exact mode only by reassociation rounding
-// in each vertex's load sum (max/min sweep folds stay exact). Flipping the
-// flag forces a full recompute so exact and fast delays never mix in one
-// report. The plain run_sta(net, sizes) overload is always exact.
 #pragma once
 
 #include <cstdint>
@@ -93,10 +86,6 @@ struct TimingScratch {
   /// (engine worker, bench) must keep it alive across runs. Results are
   /// bit-identical at any thread count.
   ThreadArena* arena = nullptr;
-  /// Opt-in FP-reassociated delay folds (see the header comment). Owned by
-  /// SizingContext::set_fast_math in the engine; never set by default.
-  bool fast_math = false;
-  bool last_fast_math = false;     ///< mode the cached delays were built in
 
   // Instrumentation for tests and benches.
   std::int64_t full_runs = 0;
@@ -117,9 +106,8 @@ struct TimingScratch {
   }
 };
 
-/// Full forward/backward sweep. `sizes` indexed by vertex id. Always exact
-/// (no fast-math variant): this is the reference every other path is
-/// compared against.
+/// Full forward/backward sweep. `sizes` indexed by vertex id. This is the
+/// reference every other path is compared against.
 TimingReport run_sta(const SizingNetwork& net, const std::vector<double>& sizes);
 
 /// Incremental sweep: recomputes only the delays invalidated since the

@@ -22,8 +22,6 @@ class Table {
   /// Render RFC-4180-ish CSV (no quoting of commas needed for our data).
   std::string to_csv() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

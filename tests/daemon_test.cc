@@ -225,6 +225,35 @@ TEST(SizingDaemon, MalformedAndUnknownRequestsGetStructuredErrors) {
   EXPECT_EQ(s.admitted, 1u);
 }
 
+TEST(SizingDaemon, BadCircuitNamesAreRefusedBeforeAnythingIsGenerated) {
+  Capture cap;
+  DaemonOptions opt;
+  opt.engine.threads = 1;
+  SizingDaemon daemon(opt, cap.emit());
+  // Trailing junk and a zero width are malformed; tiled100000x100000x8
+  // would be ~7e11 gates and must be refused on the request thread
+  // without generating it.
+  for (const char* name : {"adder8x", "adder0", "tiled100000x100000x8"})
+    daemon.handle_line(submit_line(name, name, 0.8));
+  const std::vector<std::string> lines = cap.snapshot();
+  ASSERT_EQ(lines.size(), 3u);
+  for (const std::string& l : lines) {
+    EXPECT_EQ(raw_field(l, "event"), "result") << l;
+    EXPECT_EQ(raw_field(l, "status"), "invalid_input") << l;
+    EXPECT_FALSE(raw_field(l, "error").empty()) << l;
+  }
+  EXPECT_NE(lines[2].find("gate cap"), std::string::npos) << lines[2];
+  // A well-formed name still works.
+  daemon.handle_line(submit_line("ok", "adder8", 0.8));
+  daemon.drain();
+  const std::vector<std::string> ok = results_for(cap.snapshot(), "ok");
+  ASSERT_EQ(ok.size(), 1u);
+  EXPECT_EQ(raw_field(ok[0], "status"), "ok");
+  const DaemonStats s = daemon.stats();
+  EXPECT_EQ(s.invalid, 3u);
+  EXPECT_EQ(s.admitted, 1u);
+}
+
 TEST(SizingDaemon, CancelThroughTheProtocol) {
   Capture cap;
   DaemonOptions opt;

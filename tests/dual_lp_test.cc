@@ -7,6 +7,7 @@
 
 #include "lp/dense_simplex.h"
 #include "mcf/dual_lp.h"
+#include "mcf/ssp.h"
 #include "util/rng.h"
 
 namespace mft {
@@ -107,14 +108,17 @@ TEST(DualFlowLp, AllThreeFlowSolversAgreeOnObjective) {
     }
     for (int v = 1; v < n; ++v)
       lp.add_objective_difference(v, v - 1, rng.uniform(0.1, 2.0));
-    auto ns = lp.solve(FlowSolver::kNetworkSimplex);
-    auto ssp = lp.solve(FlowSolver::kSsp);
-    auto cc = lp.solve(FlowSolver::kCycleCanceling);
+    // The LP solves by network simplex; the two oracles re-solve the flow
+    // problem it cached and must reach the same integer optimum.
+    DualFlowLp::Workspace ws;
+    const auto ns = lp.solve(4, 3, &ws);
+    const McfSolution ssp = solve_ssp(ws.problem);
+    const McfSolution cc = solve_cycle_canceling(ws.problem);
     ASSERT_TRUE(ns.solved);
-    ASSERT_TRUE(ssp.solved);
-    ASSERT_TRUE(cc.solved);
-    EXPECT_NEAR(ns.objective, ssp.objective, 1e-6) << "trial " << trial;
-    EXPECT_NEAR(ns.objective, cc.objective, 1e-6) << "trial " << trial;
+    ASSERT_EQ(ssp.status, McfStatus::kOptimal);
+    ASSERT_EQ(cc.status, McfStatus::kOptimal);
+    EXPECT_EQ(ns.flow_cost, ssp.total_cost) << "trial " << trial;
+    EXPECT_EQ(ns.flow_cost, cc.total_cost) << "trial " << trial;
   }
 }
 

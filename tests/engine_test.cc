@@ -354,7 +354,7 @@ std::vector<SizingJob> make_batch_jobs() {
       job.network = n;
       job.target_ratio = ratios[k];
       job.label = (n == 0 ? "adder8@" : "cmp8@") + std::to_string(ratios[k]);
-      if (k == 3) job.options.dphase.solver = FlowSolver::kSsp;
+      if (k == 3) job.options.dphase.beta = 0.125;
       jobs.push_back(std::move(job));
     }
   }

@@ -5,8 +5,11 @@
 
 #include "gen/blocks.h"
 #include "gen/iscas_analog.h"
+#include "gen/registry.h"
+#include "gen/tiled.h"
 #include "netlist/bench_io.h"
 #include "netlist/stats.h"
+#include "util/status.h"
 
 namespace mft {
 namespace {
@@ -243,6 +246,61 @@ TEST(IscasAnalog, BenchRoundTrip) {
   EXPECT_EQ(back.num_logic_gates(), nl.num_logic_gates());
   EXPECT_EQ(back.num_inputs(), nl.num_inputs());
   EXPECT_EQ(back.num_outputs(), nl.num_outputs());
+}
+
+// ---------------------------------------------------------------------------
+// Named-circuit registry
+// ---------------------------------------------------------------------------
+
+TEST(NamedCircuits, BuildsEveryFamily) {
+  EXPECT_EQ(make_named_circuit("c17").num_logic_gates(), 6);
+  EXPECT_EQ(make_named_circuit("adder8").num_logic_gates(),
+            make_ripple_adder(8).num_logic_gates());
+  const Netlist t = make_named_circuit("tiled3x2x2");
+  EXPECT_EQ(t.name(), "tiled3x2x2");
+  EXPECT_EQ(t.num_logic_gates(), tiled_datapath_gates({3, 2, 2}));
+  EXPECT_EQ(make_named_circuit("c432").num_logic_gates(),
+            make_iscas_analog("c432").num_logic_gates());
+  // The listing names every family.
+  const std::string listing = named_circuit_listing();
+  for (const char* name : {"c17", "adder<N>", "tiled<L>x<S>x<B>", "c7552"})
+    EXPECT_NE(listing.find(name), std::string::npos) << name;
+}
+
+EngineStatus status_of(const std::string& name, std::string* what = nullptr) {
+  try {
+    make_named_circuit(name);
+  } catch (const EngineError& e) {
+    if (what != nullptr) *what = e.what();
+    return e.status();
+  }
+  return EngineStatus::kOk;
+}
+
+TEST(NamedCircuits, RejectsMalformedNames) {
+  for (const char* name :
+       {"adder8x", "adder0", "adder", "adder-4", "adder+4", "adder 8",
+        "adder8 ", "tiled4x4", "tiled4x4x", "tiled4x4x4x", "tiled4x4x4x4",
+        "tiled0x4x4", "tiled4x0x4", "tiled4x4x0", "tiledx4x4", "tiled4xx4",
+        "tiled4x4x4_nomesh", "Adder8", "nonesuch", ""})
+    EXPECT_EQ(status_of(name), EngineStatus::kInvalidInput) << name;
+}
+
+TEST(NamedCircuits, RefusesCircuitsAboveTheGateCap) {
+  // The largest documented instance stays below the cap.
+  EXPECT_LE(tiled_datapath_gates({128, 96, 7}), kMaxNamedCircuitGates);
+  // 64-bit gate count: 9·46341² does not fit in an int.
+  EXPECT_EQ(tiled_datapath_gates({46341, 46341, 1}),
+            std::int64_t{9} * 46341 * 46341);
+  // adder116508 is 1,048,572 gates (under the cap); one bit more is over.
+  for (const char* name :
+       {"adder116509", "tiled100000x100000x8", "tiled2000x2000x2000",
+        "tiled128x96x10", "tiled1x1x99999999999999999999",
+        "adder99999999999999999999"}) {
+    std::string what;
+    EXPECT_EQ(status_of(name, &what), EngineStatus::kInvalidInput) << name;
+    EXPECT_NE(what.find("gate cap"), std::string::npos) << name << ": " << what;
+  }
 }
 
 }  // namespace

@@ -423,5 +423,69 @@ TEST_F(JournalTest, IncompatibleConfigSnapshotRefusesReplayAndPreservesIt) {
   EXPECT_NE(log2.hash_for("a"), "");
 }
 
+// Journals written while a fast-math mode still existed carry a
+// "fast_math" key in their config snapshot. The engine now runs only the
+// exact delay folds, so a journal that says true holds results it cannot
+// reproduce and is refused; false, or no key at all, replays.
+namespace {
+
+/// Crash-simulated journal (one unfinished submit) whose config snapshot
+/// gets `extra` spliced in before its closing brace.
+void write_unfinished_journal(const std::string& path,
+                              const std::string& extra) {
+  {
+    EventLog log;
+    SizingDaemon d(durable_opts(path), log.emit());
+    d.handle_line(kSubmitA);
+    d.drain();
+  }
+  std::vector<std::string> recs;
+  for (const std::string& r : Journal::replay(path))
+    if (r.find("\"type\":\"result\"") == std::string::npos) recs.push_back(r);
+  ASSERT_EQ(recs.size(), 2u);  // config + submit
+  ASSERT_EQ(json_field(recs[0], "type"), "config");
+  EXPECT_EQ(json_field(recs[0], "fast_math"), "");  // no longer written
+  recs[0].insert(recs[0].size() - 1, extra);
+  Journal::rewrite(path, recs);
+}
+
+}  // namespace
+
+TEST_F(JournalTest, LegacyFastMathTrueConfigRefusesReplay) {
+  const std::string path = temp_path("journal_fast_true.mftj");
+  write_unfinished_journal(path, ",\"fast_math\":true");
+  EventLog log;
+  SizingDaemon d(durable_opts(path), log.emit());
+  const std::vector<std::string> events = log.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(json_field(events[0], "event"), "replay");
+  EXPECT_EQ(json_field(events[0], "ok"), "false");
+  EXPECT_NE(events[0].find("config incompatible"), std::string::npos);
+  EXPECT_EQ(d.stats().recovered, 0u);
+  EXPECT_EQ(Journal::replay(path).size(), 2u);  // preserved, not compacted
+}
+
+TEST_F(JournalTest, LegacyFastMathFalseConfigReplays) {
+  const std::string path = temp_path("journal_fast_false.mftj");
+  write_unfinished_journal(path, ",\"fast_math\":false");
+  EventLog log;
+  SizingDaemon d(durable_opts(path), log.emit());
+  d.drain();
+  EXPECT_EQ(json_field(log.snapshot().at(0), "ok"), "true");
+  EXPECT_EQ(d.stats().recovered, 1u);
+  EXPECT_NE(log.hash_for("a"), "");
+}
+
+TEST_F(JournalTest, ConfigWithoutFastMathKeyReplays) {
+  const std::string path = temp_path("journal_fast_absent.mftj");
+  write_unfinished_journal(path, "");
+  EventLog log;
+  SizingDaemon d(durable_opts(path), log.emit());
+  d.drain();
+  EXPECT_EQ(json_field(log.snapshot().at(0), "ok"), "true");
+  EXPECT_EQ(d.stats().recovered, 1u);
+  EXPECT_NE(log.hash_for("a"), "");
+}
+
 }  // namespace
 }  // namespace mft

@@ -6,10 +6,7 @@
 //  - bit-identity: the streaming STA / W-phase kernels reproduce direct
 //    array-of-structs reference implementations EXACTLY (operator== on
 //    doubles) across all three lowerings on randomized size vectors — the
-//    layout refactor is a memory-order change, not a numerical one,
-//  - fast-math: the explicitly gated reassociated folds stay within the
-//    tolerance documented on SweepPlan::delay_at_fast (1e-12 relative per
-//    delay, 1e-9 on accumulated path quantities).
+//    layout refactor is a memory-order change, not a numerical one.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -293,59 +290,6 @@ TEST(SweepPlan, DelayHelpersMatchAos) {
       EXPECT_EQ(net.delay(v, x), aos_delay(net, v, x));
       EXPECT_EQ(net.plan().delay_at(p, x_pos), aos_delay(net, v, x));
     }
-  }
-}
-
-// Fast math is opt-in and NOT bit-identical — it must stay within the
-// tolerance documented on SweepPlan::delay_at_fast.
-TEST(FastMath, WithinDocumentedTolerance) {
-  constexpr double kDelayRelTol = 1e-12;
-  constexpr double kPathRelTol = 1e-9;
-  auto rel = [](double a, double b) {
-    const double mag = std::max(std::abs(a), std::abs(b));
-    if (!std::isfinite(mag) || mag == 0.0) return 0.0;  // inf RT == inf RT
-    return std::abs(a - b) / mag;
-  };
-  for (int lowering = 0; lowering < 3; ++lowering) {
-    SCOPED_TRACE("lowering " + std::to_string(lowering));
-    const SizingNetwork net = make_net(lowering);
-    Rng rng(0xfa57ull + static_cast<std::uint64_t>(lowering));
-    const std::vector<double> x = random_sizes(net, rng);
-    const std::size_t n = static_cast<std::size_t>(net.num_vertices());
-
-    TimingScratch exact, fast;
-    fast.fast_math = true;
-    const TimingReport& re = run_sta(net, x, exact);
-    const TimingReport& rf = run_sta(net, x, fast);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_LE(rel(re.delay[i], rf.delay[i]), kDelayRelTol);
-      EXPECT_LE(rel(re.at[i], rf.at[i]), kPathRelTol);
-      EXPECT_LE(rel(re.rt[i], rf.rt[i]), kPathRelTol);
-    }
-    EXPECT_LE(rel(re.critical_path, rf.critical_path), kPathRelTol);
-
-    // Flipping the mode on a warm scratch must force a full recompute in
-    // the new mode (never mix folds), and flipping back restores exact
-    // results bit for bit.
-    fast.fast_math = false;
-    const TimingReport& back = run_sta(net, x, fast);
-    EXPECT_EQ(re.delay, back.delay);
-    EXPECT_EQ(re.at, back.at);
-    EXPECT_EQ(re.critical_path, back.critical_path);
-
-    // W-phase under fast math: same sweep structure, sizes within the
-    // accumulated-path tolerance.
-    std::vector<double> budget(n);
-    for (NodeId v = 0; v < net.num_vertices(); ++v)
-      budget[static_cast<std::size_t>(v)] = net.delay(v, x);
-    const WPhaseResult we = solve_wphase(net, budget);
-    const WPhaseResult wf = solve_wphase(net, budget, /*arena=*/nullptr,
-                                         /*abort=*/nullptr,
-                                         /*fast_math=*/true);
-    EXPECT_EQ(we.feasible, wf.feasible);
-    ASSERT_EQ(we.sizes.size(), wf.sizes.size());
-    for (std::size_t i = 0; i < we.sizes.size(); ++i)
-      EXPECT_LE(rel(we.sizes[i], wf.sizes[i]), kPathRelTol);
   }
 }
 

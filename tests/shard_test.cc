@@ -128,8 +128,8 @@ TEST(ShardPartition, LevelCutBandsAreValidSchedules) {
 
 TEST(TiledDatapath, GateCountMatchesFormula) {
   for (const TiledDatapathParams p :
-       {TiledDatapathParams{3, 2, 2, true}, TiledDatapathParams{2, 5, 1, false},
-        TiledDatapathParams{8, 6, 2, true}}) {
+       {TiledDatapathParams{3, 2, 2}, TiledDatapathParams{2, 5, 1},
+        TiledDatapathParams{8, 6, 2}}) {
     EXPECT_EQ(make_tiled_datapath(p).num_logic_gates(),
               tiled_datapath_gates(p))
         << p.lanes << "x" << p.stages << "x" << p.bits;
