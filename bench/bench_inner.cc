@@ -2,9 +2,11 @@
 // sweeps, W-phase Gauss–Seidel) on the largest generated instance.
 //
 // Three axes:
-//  - inner-thread scaling (sequential vs N level-parallel inner threads,
-//    plus the bit-exactness cross-check: thread count must never change
-//    results),
+//  - inner-thread scaling of the W-phase (sequential vs N level-parallel
+//    inner threads, plus the bit-exactness cross-check: thread count must
+//    never change results). The STA kernels are sequential only: their
+//    level-parallel arms measured no better than one thread on a 4-vCPU
+//    machine and were removed,
 //  - layout ablation: the pre-SweepPlan array-of-structs walks (per-vertex
 //    heap load vectors, id-indexed values, Digraph adjacency) re-timed
 //    under the same seeds against the level-contiguous SoA kernels the
@@ -13,15 +15,13 @@
 //  - per-kernel throughput: vertices/second and effective GB/s (documented
 //    byte model below) so regressions show up as bandwidth, not just time.
 //
-// Emits BENCH_inner.json with min/median wall times per phase at each
-// thread count (RepeatTiming — robust to CI noise), the speedups, the
-// determinism bit and hw_concurrency. The thread speedup is hardware-bound
-// — interpret it against hw_concurrency: on >= 4 real cores the sweep
-// phases are expected >= 1.5x at 4 inner threads, while a 1-core container
-// reads well BELOW 1x because four workers time-slice one core. The
-// 1-thread numbers run the sequential code path (no arena), so they double
-// as the no-regression baseline; bench/BASELINE_inner_pr6.json snapshots
-// the pre-SweepPlan numbers on the same instance. Override the thread
+// Emits BENCH_inner.json with min/median wall times per phase (RepeatTiming
+// — robust to CI noise), the W-phase speedup, the determinism bit and
+// hw_concurrency. The thread speedup is hardware-bound — interpret it
+// against hw_concurrency: a 1-core container reads well BELOW 1x because
+// four workers time-slice one core. The 1-thread numbers double as the
+// no-regression baseline; bench/BASELINE_inner_pr6.json snapshots the
+// pre-SweepPlan numbers on the same instance. Override the W-phase thread
 // count with --inner-threads or MFT_BENCH_INNER_THREADS.
 #include <algorithm>
 #include <cmath>
@@ -243,66 +243,59 @@ int main(int argc, char** argv) {
   while (net.is_source(bump)) ++bump;
 
   BenchJson json;
-  const int thread_counts[2] = {1, par_threads};
-  RepeatTiming full[2], sweeps[2], wphase[2];
-  TimingReport report[2];
-  WPhaseResult wres[2];
+  auto add_phase = [&](const char* phase, int threads, const RepeatTiming& t,
+                       double bytes, double verts) {
+    json.add(strf("inner/%s_t%d", phase, threads), t.total(),
+             {{"min_seconds", t.min()},
+              {"median_seconds", t.median()},
+              {"vertices_per_second", verts / t.median()},
+              {"effective_gb_per_second", bytes / t.median() / 1e9},
+              {"repeats", static_cast<double>(repeats)},
+              {"threads", static_cast<double>(threads)}});
+  };
 
+  // Full STA: delay init + both sweeps, from a cold scratch every time.
+  TimingScratch scratch;
+  const RepeatTiming full = time_repeats(repeats, [&] {
+    scratch.valid = false;
+    run_sta(net, sized, scratch);
+  });
+
+  // Sweep phase: one hinted single-vertex update per run — the delay
+  // recompute is O(loaders of one vertex), so this times the AT sweep from
+  // the bumped position, the RT sweep and the export (the D-phase steady
+  // state).
+  std::vector<double> x = sized;
+  const std::vector<NodeId> hint = {bump};
+  const RepeatTiming sweeps = time_repeats(repeats, [&] {
+    const std::size_t b = static_cast<std::size_t>(bump);
+    x[b] = x[b] == sized[b] ? sized[b] * 1.1 : sized[b];
+    run_sta(net, x, scratch, hint);
+  });
+  const TimingReport report = scratch.report;  // for the ablation gate
+  std::printf("STA (sequential): sta_full min %.3fms  sweeps min %.3fms\n",
+              full.min() * 1e3, sweeps.min() * 1e3);
+  add_phase("sta_full", 1, full, full_sta_bytes(n, arcs, load_terms), n);
+  add_phase("sta_sweeps", 1, sweeps, sweeps_bytes(n, arcs), n);
+
+  // W-phase: cold Gauss–Seidel to the least fixpoint of the budgets, at 1
+  // and at N inner threads.
+  const int thread_counts[2] = {1, par_threads};
+  RepeatTiming wphase[2];
+  WPhaseResult wres[2];
   for (int i = 0; i < 2; ++i) {
     const int threads = thread_counts[i];
     ThreadArena arena(threads);
     ThreadArena* use = threads > 1 ? &arena : nullptr;  // 1 = sequential
-
-    // Full STA: delay init + both sweeps, from a cold scratch every time.
-    TimingScratch scratch;
-    scratch.arena = use;
-    full[i] = time_repeats(repeats, [&] {
-      scratch.valid = false;
-      run_sta(net, sized, scratch);
-    });
-
-    // Sweep phase: one hinted single-vertex update per run — the delay
-    // recompute is O(loaders of one vertex), so this times the level
-    // sweeps themselves (the TILOS/D-phase steady state).
-    std::vector<double> x = sized;
-    const std::vector<NodeId> hint = {bump};
-    sweeps[i] = time_repeats(repeats, [&] {
-      const std::size_t b = static_cast<std::size_t>(bump);
-      x[b] = x[b] == sized[b] ? sized[b] * 1.1 : sized[b];
-      run_sta(net, x, scratch, hint);
-    });
-    report[i] = scratch.report;  // copy for the determinism check
-
-    // W-phase: cold Gauss–Seidel to the least fixpoint of the budgets.
     wphase[i] = time_repeats(repeats, [&] {
       wres[i] = solve_wphase(net, budget, use);
     });
-
-    std::printf(
-        "%d inner thread%s: sta_full min %.3fms  sweeps min %.3fms  "
-        "wphase min %.3fms (%d sweeps)\n",
-        threads, threads == 1 ? " " : "s", full[i].min() * 1e3,
-        sweeps[i].min() * 1e3, wphase[i].min() * 1e3, wres[i].sweeps);
-    const double phase_bytes[3] = {
-        full_sta_bytes(n, arcs, load_terms), sweeps_bytes(n, arcs),
-        wphase_bytes(n, load_terms, wres[i].sweeps)};
-    const double phase_verts[3] = {
-        static_cast<double>(n), static_cast<double>(n),
-        static_cast<double>(n) * std::max(1, wres[i].sweeps)};
-    int pi = 0;
-    for (const char* phase : {"sta_full", "sta_sweeps", "wphase"}) {
-      const RepeatTiming& t = pi == 0 ? full[i] : pi == 1 ? sweeps[i]
-                                                          : wphase[i];
-      json.add(strf("inner/%s_t%d", phase, threads), t.total(),
-               {{"min_seconds", t.min()},
-                {"median_seconds", t.median()},
-                {"vertices_per_second", phase_verts[pi] / t.median()},
-                {"effective_gb_per_second",
-                 phase_bytes[pi] / t.median() / 1e9},
-                {"repeats", static_cast<double>(repeats)},
-                {"threads", static_cast<double>(threads)}});
-      ++pi;
-    }
+    std::printf("%d inner thread%s: wphase min %.3fms (%d sweeps)\n", threads,
+                threads == 1 ? " " : "s", wphase[i].min() * 1e3,
+                wres[i].sweeps);
+    add_phase("wphase", threads, wphase[i],
+              wphase_bytes(n, load_terms, wres[i].sweeps),
+              static_cast<double>(n) * std::max(1, wres[i].sweeps));
   }
 
   // -------------------------------------------------------------------------
@@ -348,9 +341,9 @@ int main(int argc, char** argv) {
       "layout ablation (1 thread, AoS -> SoA): sta_full %.2fx "
       "(%.3f -> %.3fms), sweeps %.2fx (%.3f -> %.3fms), wphase %.2fx "
       "(%.3f -> %.3fms)\n",
-      speedup(aos_full_t, full[0]), aos_full_t.min() * 1e3, full[0].min() * 1e3,
-      speedup(aos_sweeps_t, sweeps[0]), aos_sweeps_t.min() * 1e3,
-      sweeps[0].min() * 1e3, speedup(aos_wphase_t, wphase[0]),
+      speedup(aos_full_t, full), aos_full_t.min() * 1e3, full.min() * 1e3,
+      speedup(aos_sweeps_t, sweeps), aos_sweeps_t.min() * 1e3,
+      sweeps.min() * 1e3, speedup(aos_wphase_t, wphase[0]),
       aos_wphase_t.min() * 1e3, wphase[0].min() * 1e3);
   {
     int pi = 0;
@@ -358,8 +351,8 @@ int main(int argc, char** argv) {
       const RepeatTiming& t = pi == 0   ? aos_full_t
                               : pi == 1 ? aos_sweeps_t
                                         : aos_wphase_t;
-      const RepeatTiming& soa = pi == 0 ? full[0] : pi == 1 ? sweeps[0]
-                                                            : wphase[0];
+      const RepeatTiming& soa = pi == 0 ? full : pi == 1 ? sweeps
+                                                         : wphase[0];
       json.add(strf("inner/ablation_aos_%s_t1", phase), t.total(),
                {{"min_seconds", t.min()},
                 {"median_seconds", t.median()},
@@ -373,29 +366,23 @@ int main(int argc, char** argv) {
   }
 
   const bool deterministic =
-      reports_identical(report[0], report[1]) &&
-      reports_identical(report[0], aos_report) &&
-      wres[0].sizes == wres[1].sizes && wres[0].sweeps == wres[1].sweeps &&
-      wres[0].feasible == wres[1].feasible;
-  const double sweep_speedup = speedup(sweeps[0], sweeps[1]);
-  std::printf(
-      "\nspeedup 1 -> %d inner threads: sta_full %.2fx, sweeps %.2fx, "
-      "wphase %.2fx (hw concurrency %u)\n",
-      par_threads, speedup(full[0], full[1]), sweep_speedup,
-      speedup(wphase[0], wphase[1]), hw);
+      reports_identical(report, aos_report) && wres[0].sizes == wres[1].sizes &&
+      wres[0].sweeps == wres[1].sweeps && wres[0].feasible == wres[1].feasible;
+  const double wphase_speedup = speedup(wphase[0], wphase[1]);
+  std::printf("\nW-phase speedup 1 -> %d inner threads: %.2fx (hw concurrency "
+              "%u)\n",
+              par_threads, wphase_speedup, hw);
   std::printf("determinism across thread counts and layouts: %s\n",
               deterministic ? "bit-identical" : "MISMATCH");
 
-  json.add("inner/summary", full[0].total() + full[1].total(),
-           {{"sweep_speedup", sweep_speedup},
-            {"sta_full_speedup", speedup(full[0], full[1])},
-            {"wphase_speedup", speedup(wphase[0], wphase[1])},
-            {"layout_sta_full_speedup", speedup(aos_full_t, full[0])},
-            {"layout_sweep_speedup", speedup(aos_sweeps_t, sweeps[0])},
+  json.add("inner/summary", full.total() + sweeps.total(),
+           {{"wphase_speedup", wphase_speedup},
+            {"layout_sta_full_speedup", speedup(aos_full_t, full)},
+            {"layout_sweep_speedup", speedup(aos_sweeps_t, sweeps)},
             {"layout_wphase_speedup", speedup(aos_wphase_t, wphase[0])},
             // Cross-PR trend lines (compare bench/BASELINE_inner_pr6.json).
-            {"sta_full_t1_median", full[0].median()},
-            {"sta_sweeps_t1_median", sweeps[0].median()},
+            {"sta_full_t1_median", full.median()},
+            {"sta_sweeps_t1_median", sweeps.median()},
             {"wphase_t1_median", wphase[0].median()},
             {"inner_threads", static_cast<double>(par_threads)},
             {"hw_concurrency", static_cast<double>(hw)},

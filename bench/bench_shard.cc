@@ -5,8 +5,8 @@
 // Arms, all at the same delay target and optimizer options:
 //  - monolithic:   one engine job on the full network, 1 inner thread —
 //                  the PR-2 baseline.
-//  - monolithic+N: same job with N inner threads (PR 3's level-parallel
-//                  sweeps) — the fairest same-core-budget baseline.
+//  - monolithic+N: same job with N inner threads (the level-parallel
+//                  W-phase) — the fairest same-core-budget baseline.
 //  - shard@W:      run_sharded_solve with W workers (K shards), 1 inner
 //                  thread per job, for W in {1, 2, 4, ...}.
 //

@@ -25,7 +25,7 @@
 //   --ratios R1,R2,...    sweep targets as fractions of Dmin
 //                         (default 1.0,0.9,0.8,0.7,0.6,0.5,0.4)
 //   --threads N           engine worker threads (default: hardware)
-//   --inner-threads N     level-parallel STA/W-phase threads per job
+//   --inner-threads N     level-parallel W-phase threads per job
 //                         (default 0: leftover --threads capacity goes to
 //                         the widest jobs; results identical at any value)
 //   --streaming           run single/sweep requests through the persistent
@@ -139,7 +139,7 @@ const char* option_listing() {
       "  --sweep               run the full area-delay trade-off curve\n"
       "  --ratios R1,R2,...    sweep targets as fractions of Dmin\n"
       "  --threads N           engine worker threads (default: hardware)\n"
-      "  --inner-threads N     level-parallel STA/W-phase threads per job\n"
+      "  --inner-threads N     level-parallel W-phase threads per job\n"
       "  --streaming           run through the persistent StreamingRunner\n"
       "  --context-cache N     per-worker context-pool LRU bound\n"
       "  --shards K            sharded solve with K level bands\n"

@@ -23,11 +23,12 @@ struct SizingJob {
   /// Index into the network table handed to JobRunner::run(). Unused by
   /// StreamingRunner::submit, which takes the network directly.
   int network = 0;
-  /// Inner-loop threads for this job's level-parallel STA and W-phase
-  /// sweeps. 1 = sequential inner loop; 0 = let the runner decide
-  /// (JobRunnerOptions::inner_threads, else the core-budget policy: batch
-  /// width is served first and leftover pool capacity goes to the jobs
-  /// with the largest networks). Results are bit-identical at any value.
+  /// Inner-loop threads for this job's level-parallel W-phase sweeps (STA
+  /// always runs sequentially). 1 = sequential inner loop; 0 = let the
+  /// runner decide (JobRunnerOptions::inner_threads, else the core-budget
+  /// policy: batch width is served first and leftover pool capacity goes
+  /// to the jobs with the largest networks). Results are bit-identical at
+  /// any value.
   int inner_threads = 0;
   /// Delay target as a fraction of the network's minimum-sized delay Dmin.
   double target_ratio = 0.6;

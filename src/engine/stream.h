@@ -93,7 +93,7 @@ struct JobRunnerOptions {
   /// capacity beyond the batch size is handed to the jobs' inner loops
   /// (see inner_threads). A StreamingRunner spawns exactly this many.
   int threads = 0;
-  /// Default inner-loop (level-parallel STA / W-phase) threads for jobs
+  /// Default inner-loop (level-parallel W-phase) threads for jobs
   /// that leave SizingJob::inner_threads at 0: > 0 forces that count; 0
   /// consults the MFT_INNER_THREADS environment variable (ops/CI knob).
   /// The batch runner additionally applies its core-budget policy —

@@ -10,12 +10,6 @@ SizingContext::SizingContext(const SizingNetwork& net) : net_(&net) {
   reset_instrumentation();
 }
 
-void SizingContext::set_arena(ThreadArena* arena) {
-  arena_ = arena;
-  timing_.arena = arena;
-  dphase_.timing.arena = arena;
-}
-
 void SizingContext::reset_instrumentation() {
   timing_.reset_instrumentation();
   dphase_.timing.reset_instrumentation();

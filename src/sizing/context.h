@@ -67,12 +67,12 @@ class SizingContext {
     return run_sta(*net_, sizes, timing_);
   }
 
-  /// Inner-loop parallelism: wires `arena` (may be nullptr for sequential)
-  /// into both embedded timing scratches and exposes it to the passes
-  /// (TILOS STA, W-phase sweeps). Not owned; the caller — the engine
-  /// worker, normally — keeps it alive while the context runs jobs.
-  /// Results are bit-identical with or without an arena.
-  void set_arena(ThreadArena* arena);
+  /// Inner-loop parallelism: exposes `arena` (may be nullptr for
+  /// sequential) to the W-phase sweeps; STA always runs sequentially. Not
+  /// owned; the caller — the engine worker, normally — keeps it alive
+  /// while the context runs jobs. Results are bit-identical with or
+  /// without an arena.
+  void set_arena(ThreadArena* arena) { arena_ = arena; }
   ThreadArena* arena() const { return arena_; }
 
   /// Cooperative abort/budget token for the job currently running on this

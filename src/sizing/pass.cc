@@ -19,8 +19,7 @@ PassStatus TilosPass::run(SizingContext& ctx, PipelineState& s) {
   Stopwatch sw;
   TilosOptions opt = opt_;
   if (opt.pins == nullptr) opt.pins = ctx.pins();
-  s.initial =
-      run_tilos(ctx.net(), s.target_delay, opt, ctx.arena(), ctx.abort());
+  s.initial = run_tilos(ctx.net(), s.target_delay, opt, ctx.abort());
   s.tilos_seconds = sw.seconds();
   s.sizes = s.initial.sizes;
   s.best_sizes = s.initial.sizes;

@@ -12,8 +12,7 @@ double min_sized_delay(const SizingNetwork& net) {
 }
 
 TilosResult run_tilos(const SizingNetwork& net, double target_delay,
-                      const TilosOptions& opt, ThreadArena* arena,
-                      AbortToken* abort) {
+                      const TilosOptions& opt, AbortToken* abort) {
   MFT_CHECK(opt.bumpsize > 1.0);
   const Tech& tech = net.tech();
   const SweepPlan& pl = net.plan();
@@ -32,56 +31,50 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
                         : 4000 * static_cast<std::int64_t>(
                                      std::max(1, net.num_sizeable()));
 
-  // All per-bump state is kept in sweep-position order so the candidate
-  // evaluation streams the plan's flat reverse-load CSR: sizes_pos mirrors
-  // res.sizes (one extra write per bump), on_path marks positions.
-  std::vector<double> sizes_pos;
-  pl.gather(res.sizes, sizes_pos);
-  std::vector<char> on_path(static_cast<std::size_t>(net.num_vertices()), 0);
-  // One vertex is bumped per iteration: handing that vertex to the
-  // changed-hint overload makes the per-iteration delay recompute
-  // O(its loaders) with no size scan; the sweeps stay O(V+E).
+  // One vertex is bumped per iteration. Each iteration runs only the
+  // arrival step, with the bumped vertex as the changed hint: the delay
+  // recompute is O(its loaders) with no size scan, and AT is re-swept from
+  // the lowest position whose delay changed. All per-bump state is read in
+  // sweep-position order from the scratch (sizes_pos mirrors res.sizes,
+  // delay_pos/at_pos/cp_pos the timing), so the candidate evaluation
+  // streams the plan's flat reverse-load CSR; on_path marks positions.
   TimingScratch sta;
-  sta.arena = arena;
+  const std::vector<double>& sizes_pos = sta.sizes_pos;
+  std::vector<char> on_path(static_cast<std::size_t>(net.num_vertices()), 0);
+  std::vector<int> path;
   std::vector<NodeId> bumped;
   while (true) {
-    const TimingReport& timing = bumped.empty()
-                                     ? run_sta(net, res.sizes, sta)
-                                     : run_sta(net, res.sizes, sta, bumped);
-    res.achieved_delay = timing.critical_path;
-    if (timing.critical_path <= target_delay) {
+    run_arrival(net, res.sizes, sta, bumped);
+    res.achieved_delay = sta.critical_path;
+    if (sta.critical_path <= target_delay) {
       res.met_target = true;
       break;
     }
     if (res.bumps >= max_bumps) break;
     if (abort != nullptr && abort->step()) break;
 
-    const std::vector<NodeId> path = timing.critical_vertices(net);
-    std::fill(on_path.begin(), on_path.end(), 0);
-    for (NodeId v : path)
-      on_path[static_cast<std::size_t>(
-          pl.pos_of[static_cast<std::size_t>(v)])] = 1;
+    for (const int p : path) on_path[static_cast<std::size_t>(p)] = 0;
+    critical_positions(pl, sta, path);
+    for (const int p : path) on_path[static_cast<std::size_t>(p)] = 1;
 
     // Pick the on-path element with the best (most negative) change in path
     // delay per unit of added area. Walked in path order (source→sink),
     // strict-improvement tie-break — same winner as the historical
     // id-space walk.
-    NodeId best = kInvalidNode;
+    int best = -1;
     double best_sens = 0.0;
-    for (NodeId v : path) {
-      const std::size_t p =
-          static_cast<std::size_t>(pl.pos_of[static_cast<std::size_t>(v)]);
+    for (const int bp : path) {
+      const std::size_t p = static_cast<std::size_t>(bp);
       if (pl.source[p]) continue;
       if (opt.pins != nullptr &&
-          (*opt.pins)[static_cast<std::size_t>(v)] > 0.0)
+          (*opt.pins)[static_cast<std::size_t>(pl.vid[p])] > 0.0)
         continue;  // pinned: never a bump candidate
       const double x = sizes_pos[p];
       const double nx = x * opt.bumpsize;
       if (nx > tech.max_size) continue;
 
       // Own-stage speedup: delay(v) = a_self + L/x with L independent of x.
-      const double load =
-          (timing.delay[static_cast<std::size_t>(v)] - pl.a_self[p]) * x;
+      const double load = (sta.delay_pos[p] - pl.a_self[p]) * x;
       double dpath = load * (1.0 / nx - 1.0 / x);
       // Upstream penalty: every on-path vertex u with a load term a_uv sees
       // Δdelay(u) = a_uv·(nx − x)/x_u.
@@ -95,15 +88,13 @@ TilosResult run_tilos(const SizingNetwork& net, double target_delay,
       const double sens = dpath / (nx - x);
       if (sens < best_sens) {
         best_sens = sens;
-        best = v;
+        best = bp;
       }
     }
-    if (best == kInvalidNode) break;  // nothing improves: infeasible target
-    res.sizes[static_cast<std::size_t>(best)] *= opt.bumpsize;
-    sizes_pos[static_cast<std::size_t>(
-        pl.pos_of[static_cast<std::size_t>(best)])] =
-        res.sizes[static_cast<std::size_t>(best)];
-    bumped.assign(1, best);
+    if (best < 0) break;  // nothing improves: infeasible target
+    const NodeId v = pl.vid[static_cast<std::size_t>(best)];
+    res.sizes[static_cast<std::size_t>(v)] *= opt.bumpsize;
+    bumped.assign(1, v);
     ++res.bumps;
   }
   res.area = net.area(res.sizes);

@@ -34,22 +34,20 @@ struct TilosResult {
 };
 
 class AbortToken;
-class ThreadArena;
 
 /// Critical-path delay of the minimum-sized circuit (the paper's Dmin).
 double min_sized_delay(const SizingNetwork& net);
 
-/// `arena` (optional, multi-thread) parallelizes the per-iteration STA
-/// sweeps; results are bit-identical at any thread count. The per-iteration
-/// delay recompute itself is O(loaders-of-one-vertex): each bump passes the
-/// bumped vertex to run_sta's changed-hint overload instead of letting it
-/// rediscover the change by scanning all sizes.
+/// Each bump runs only the arrival step of the incremental STA
+/// (run_arrival), with the bumped vertex as the changed hint: the delay
+/// recompute is O(loaders of that vertex) and the AT sweep starts at the
+/// lowest position whose delay changed. RT is never computed; the critical
+/// path is walked in sweep-position space (critical_positions).
 ///
 /// `abort` (optional) is checked once per bump; when it trips the loop
 /// stops with the best-so-far sizes and met_target reflecting the last STA.
 TilosResult run_tilos(const SizingNetwork& net, double target_delay,
                       const TilosOptions& opt = {},
-                      ThreadArena* arena = nullptr,
                       AbortToken* abort = nullptr);
 
 }  // namespace mft

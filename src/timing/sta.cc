@@ -3,291 +3,192 @@
 #include <algorithm>
 #include <climits>
 #include <limits>
-
-#include "util/parallel.h"
+#include <utility>
 
 namespace mft {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Minimum vertices per arena chunk. Below these the dispatch overhead beats
-// the work and parallel_for runs the body inline; tuning them only moves
-// where parallelism kicks in, never the results.
-constexpr int kDelayGrain = 96;  ///< delay recompute (load-term dot products)
-constexpr int kSweepGrain = 64;  ///< AT/RT level sweeps (arc min/max folds)
-
-bool multi_thread(const ThreadArena* arena) {
-  return arena != nullptr && arena->threads() > 1;
-}
-
-// Recomputes every per-vertex delay, streaming the plan's load CSR in
-// sweep-position order. Shared by the two-arg run_sta and the scratch
-// overload's first run so the full and incremental paths cannot drift
-// apart.
-void full_delay_pos(const SweepPlan& pl, const std::vector<double>& sizes_pos,
-                    std::vector<double>& delay_pos, ThreadArena* arena) {
-  delay_pos.resize(static_cast<std::size_t>(pl.n));
-  auto body = [&](int, int begin, int end) {
-    for (int p = begin; p < end; ++p)
-      delay_pos[static_cast<std::size_t>(p)] = pl.delay_at(p, sizes_pos);
-  };
-  if (multi_thread(arena))
-    arena->parallel_for(pl.n, kDelayGrain, body);
-  else
-    body(0, 0, pl.n);
-}
-
-// Forward/backward sweeps over already-computed per-vertex delays, in
-// sweep-position order (a valid topological order — SweepPlan). Shared by
-// the full and incremental paths so both produce identical reports.
+// Forward sweep of the arrival step over positions [from, n), a valid
+// topological order (SweepPlan): AT(v) = max over fanin j of AT(j) +
+// delay(j), 0 at sources, folded into the CP, which is resumed from the
+// prefix record at from − 1. Positions before `from` keep their AT: no
+// delay before `from` changed, so none of their AT can have.
 //
-// Bit-identity to the historical id-space topological walk: every fanin/
-// fanout fold reads only strictly earlier/later levels (fully settled in
-// either walk order) and folds the vertex's own arc list in its original
-// stored order; the cp winner "first in topological order attaining the
-// max" is equivalently "max end, lowest topological position on exact
-// ties", which is the explicit rule used here and by the parallel merge.
-void run_sweeps_sequential(const SweepPlan& pl,
-                           const std::vector<double>& delay_pos,
-                           std::vector<double>& at_pos,
-                           std::vector<double>& rt_pos, double& critical_path,
-                           NodeId& cp_vertex) {
+// Every position from `from` on is recomputed, not only those downstream
+// of a changed delay: on the Table-1 circuits a TILOS bump changes the AT
+// of ~45 % of the positions it sweeps, and skipping the rest through
+// per-position marks cost more in marking and mispredicted branches than
+// it saved (TILOS on six Table-1 circuits: 0.37 s with marks, 0.26 s
+// without).
+//
+// Bit-identity to the historical full id-space walk: every fanin fold
+// reads only earlier positions and folds the vertex's own arc list in its
+// original stored order; the cp winner "first in topological order
+// attaining the max" is equivalently "max end, lowest topological position
+// on exact ties", which is the explicit rule here.
+void sweep_arrival(const SweepPlan& pl, TimingScratch& s, int from) {
   const int n = pl.n;
-  at_pos.resize(static_cast<std::size_t>(n));
-  rt_pos.resize(static_cast<std::size_t>(n));
-
-  // Forward: AT(v) = max over fanin j of AT(j) + delay(j); 0 at sources.
-  critical_path = 0.0;
-  cp_vertex = kInvalidNode;
-  int cp_tp = INT_MAX;
-  for (int p = 0; p < n; ++p) {
+  int cp = from > 0 ? s.cp_prefix[static_cast<std::size_t>(from) - 1] : -1;
+  double cp_end = cp < 0 ? 0.0
+                         : s.at_pos[static_cast<std::size_t>(cp)] +
+                               s.delay_pos[static_cast<std::size_t>(cp)];
+  int cp_tp = cp < 0 ? INT_MAX : pl.topo_pos[static_cast<std::size_t>(cp)];
+  for (int p = from; p < n; ++p) {
     const std::size_t pi = static_cast<std::size_t>(p);
     double at = 0.0;
     for (int k = pl.fanin_off[pi]; k < pl.fanin_off[pi + 1]; ++k) {
       const std::size_t j =
           static_cast<std::size_t>(pl.fanin_pos[static_cast<std::size_t>(k)]);
-      at = std::max(at, at_pos[j] + delay_pos[j]);
+      at = std::max(at, s.at_pos[j] + s.delay_pos[j]);
     }
-    at_pos[pi] = at;
-    const double end = at + delay_pos[pi];
-    const int tp = pl.topo_pos[pi];
-    if (cp_vertex == kInvalidNode || end > critical_path ||
-        (end == critical_path && tp < cp_tp)) {
-      critical_path = end;
-      cp_vertex = pl.vid[pi];
-      cp_tp = tp;
+    s.at_pos[pi] = at;
+    const double end = at + s.delay_pos[pi];
+    if (cp < 0 || end > cp_end ||
+        (end == cp_end && pl.topo_pos[pi] < cp_tp)) {
+      cp_end = end;
+      cp = p;
+      cp_tp = pl.topo_pos[pi];
     }
+    s.cp_prefix[pi] = cp;
   }
-
-  // Backward: RT(v) = CP − delay(v) at POs, min over fanouts elsewhere.
-  for (int p = n - 1; p >= 0; --p) {
-    const std::size_t pi = static_cast<std::size_t>(p);
-    double rt = kInf;
-    if (pl.sink[pi]) rt = critical_path - delay_pos[pi];
-    for (int k = pl.fanout_off[pi]; k < pl.fanout_off[pi + 1]; ++k)
-      rt = std::min(rt, rt_pos[static_cast<std::size_t>(pl.fanout_pos[
-                             static_cast<std::size_t>(k)])] -
-                            delay_pos[pi]);
-    rt_pos[pi] = rt;
-  }
+  s.critical_path = cp < 0 ? 0.0 : cp_end;
+  s.cp_pos = cp;
 }
 
-// Level-parallel sweeps: a level is a contiguous position range and within
-// a level no two vertices share an arc, so the per-vertex updates are the
-// sequential ones verbatim, run concurrently one level at a time. The cp
-// argmax is reduced per thread and merged by (max end, lowest topological
-// position on exact ties) — the same rule as the sequential sweep above.
-void run_sweeps_parallel(const SweepPlan& pl,
-                         const std::vector<int>& level_off,
-                         const std::vector<double>& delay_pos,
-                         std::vector<double>& at_pos,
-                         std::vector<double>& rt_pos, double& critical_path,
-                         NodeId& cp_vertex, ThreadArena& arena) {
-  const int n = pl.n;
-  at_pos.resize(static_cast<std::size_t>(n));
-  rt_pos.resize(static_cast<std::size_t>(n));
-  const int levels = static_cast<int>(level_off.size()) - 1;
-
-  struct alignas(64) CpLocal {
-    double end = -kInf;
-    int pos = INT_MAX;
-    NodeId v = kInvalidNode;
-  };
-  std::vector<CpLocal> cp(static_cast<std::size_t>(arena.threads()));
-
-  for (int l = 0; l < levels; ++l) {
-    const int base = level_off[static_cast<std::size_t>(l)];
-    const int width = level_off[static_cast<std::size_t>(l) + 1] - base;
-    arena.parallel_for(width, kSweepGrain, [&](int thread, int begin, int end) {
-      CpLocal& local = cp[static_cast<std::size_t>(thread)];
-      for (int i = begin; i < end; ++i) {
-        const std::size_t pi = static_cast<std::size_t>(base + i);
-        double at = 0.0;
-        for (int k = pl.fanin_off[pi]; k < pl.fanin_off[pi + 1]; ++k) {
-          const std::size_t j = static_cast<std::size_t>(
-              pl.fanin_pos[static_cast<std::size_t>(k)]);
-          at = std::max(at, at_pos[j] + delay_pos[j]);
-        }
-        at_pos[pi] = at;
-        const double vend = at + delay_pos[pi];
-        const int vpos = pl.topo_pos[pi];
-        if (vend > local.end || (vend == local.end && vpos < local.pos)) {
-          local.end = vend;
-          local.pos = vpos;
-          local.v = pl.vid[pi];
-        }
-      }
-    });
-  }
-
-  CpLocal best;
-  for (const CpLocal& local : cp) {
-    if (local.v == kInvalidNode) continue;
-    if (best.v == kInvalidNode || local.end > best.end ||
-        (local.end == best.end && local.pos < best.pos))
-      best = local;
-  }
-  critical_path = best.v == kInvalidNode ? 0.0 : best.end;
-  cp_vertex = best.v;
-
-  for (int l = levels - 1; l >= 0; --l) {
-    const int base = level_off[static_cast<std::size_t>(l)];
-    const int width = level_off[static_cast<std::size_t>(l) + 1] - base;
-    arena.parallel_for(width, kSweepGrain, [&](int, int begin, int end) {
-      for (int i = begin; i < end; ++i) {
-        const std::size_t pi = static_cast<std::size_t>(base + i);
-        double rt = kInf;
-        if (pl.sink[pi]) rt = critical_path - delay_pos[pi];
-        for (int k = pl.fanout_off[pi]; k < pl.fanout_off[pi + 1]; ++k)
-          rt = std::min(rt, rt_pos[static_cast<std::size_t>(pl.fanout_pos[
-                                 static_cast<std::size_t>(k)])] -
-                                delay_pos[pi]);
-        rt_pos[pi] = rt;
-      }
-    });
-  }
-}
-
-void run_sweeps(const SizingNetwork& net, const std::vector<double>& delay_pos,
-                std::vector<double>& at_pos, std::vector<double>& rt_pos,
-                double& critical_path, NodeId& cp_vertex, ThreadArena* arena) {
-  if (multi_thread(arena))
-    run_sweeps_parallel(net.plan(), net.level_offsets(), delay_pos, at_pos,
-                        rt_pos, critical_path, cp_vertex, *arena);
-  else
-    run_sweeps_sequential(net.plan(), delay_pos, at_pos, rt_pos, critical_path,
-                          cp_vertex);
-}
-
-// Translate the position-space working set into the id-indexed public
-// report: linear writes over the four report arrays, gathered reads from
-// the position arrays.
-void export_report(const SweepPlan& pl, const std::vector<double>& delay_pos,
-                   const std::vector<double>& at_pos,
-                   const std::vector<double>& rt_pos, TimingReport& r) {
+// Full arrival step: gather the sizes, compute every delay, and sweep AT
+// from position 0.
+void full_arrival(const SweepPlan& pl, const std::vector<double>& sizes,
+                  TimingScratch& s) {
   const std::size_t n = static_cast<std::size_t>(pl.n);
-  r.delay.resize(n);
-  r.at.resize(n);
-  r.rt.resize(n);
-  r.slack.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t p = static_cast<std::size_t>(pl.pos_of[v]);
-    r.delay[v] = delay_pos[p];
-    r.at[v] = at_pos[p];
-    r.rt[v] = rt_pos[p];
-    r.slack[v] = rt_pos[p] - at_pos[p];
-  }
+  pl.gather(sizes, s.sizes_pos);
+  s.delay_pos.resize(n);
+  for (int p = 0; p < pl.n; ++p)
+    s.delay_pos[static_cast<std::size_t>(p)] = pl.delay_at(p, s.sizes_pos);
+  s.at_pos.resize(n);
+  s.cp_prefix.resize(n);
+  sweep_arrival(pl, s, 0);
 }
 
-// Shared incremental driver; `changed` selects the hinted or scanning path.
-const TimingReport& run_sta_incremental(const SizingNetwork& net,
-                                        const std::vector<double>& sizes,
-                                        TimingScratch& scratch,
-                                        const std::vector<NodeId>* changed) {
+// Arrival step: refresh the delays invalidated since the previous call on
+// this scratch (all of them on a full run), then sweep AT forward from the
+// lowest position whose delay changed. `changed` selects the hinted or the
+// scanning path.
+void arrival_step(const SizingNetwork& net, const std::vector<double>& sizes,
+                  TimingScratch& scratch, const std::vector<NodeId>* changed) {
   MFT_CHECK(net.frozen());
   MFT_CHECK(static_cast<int>(sizes.size()) == net.num_vertices());
   const std::size_t n = static_cast<std::size_t>(net.num_vertices());
   const SweepPlan& pl = net.plan();
-  TimingReport& r = scratch.report;
 
   if (!scratch.valid || scratch.net_serial != net.serial()) {
-    // First run on this scratch (or a different network): full recompute.
-    pl.gather(sizes, scratch.sizes_pos);
-    full_delay_pos(pl, scratch.sizes_pos, scratch.delay_pos, scratch.arena);
+    // First run on this scratch (or a different network).
+    full_arrival(pl, sizes, scratch);
     scratch.is_dirty.assign(n, 0);
     scratch.last_sizes = sizes;
     scratch.valid = true;
     scratch.net_serial = net.serial();
     ++scratch.full_runs;
     scratch.delays_recomputed += static_cast<std::int64_t>(n);
-  } else {
-    // Incremental: a vertex's delay depends on its own size and the sizes
-    // it loads, so the invalidated set is {changed} ∪ reverse loads of the
-    // changed vertices — all found on the flat reverse-load CSR, tracked
-    // as sweep positions.
-    auto& dirty = scratch.dirty;
-    dirty.clear();
-    auto mark = [&](int p) {
-      const std::size_t i = static_cast<std::size_t>(p);
-      if (!scratch.is_dirty[i]) {
-        scratch.is_dirty[i] = 1;
-        dirty.push_back(p);
-      }
-    };
-    auto mark_changed = [&](NodeId v) {
-      const int p = pl.pos_of[static_cast<std::size_t>(v)];
-      scratch.sizes_pos[static_cast<std::size_t>(p)] =
-          sizes[static_cast<std::size_t>(v)];
-      mark(p);
-      for (int k = pl.rload_off[static_cast<std::size_t>(p)];
-           k < pl.rload_off[static_cast<std::size_t>(p) + 1]; ++k)
-        mark(pl.rload_pos[static_cast<std::size_t>(k)]);
-    };
-    if (changed != nullptr) {
-      // Hinted path: trust the caller's change set, touch nothing else.
-      for (const NodeId v : *changed) {
-        const std::size_t i = static_cast<std::size_t>(v);
-        if (sizes[i] == scratch.last_sizes[i]) continue;
-        scratch.last_sizes[i] = sizes[i];
-        mark_changed(v);
-      }
-#ifndef NDEBUG
-      // A hint that misses a resized vertex silently corrupts every later
-      // report; cross-check the whole contract in debug builds.
-      for (std::size_t i = 0; i < n; ++i)
-        MFT_CHECK_MSG(sizes[i] == scratch.last_sizes[i],
-                      "run_sta changed-hint missed resized vertex " << i);
-#endif
-      ++scratch.hinted_runs;
-    } else {
-      for (NodeId v = 0; v < net.num_vertices(); ++v) {
-        const std::size_t i = static_cast<std::size_t>(v);
-        if (sizes[i] == scratch.last_sizes[i]) continue;
-        mark_changed(v);
-      }
-      scratch.last_sizes = sizes;
-    }
-    auto recompute = [&](int, int begin, int end) {
-      for (int i = begin; i < end; ++i) {
-        const int p = dirty[static_cast<std::size_t>(i)];
-        scratch.delay_pos[static_cast<std::size_t>(p)] =
-            pl.delay_at(p, scratch.sizes_pos);
-        scratch.is_dirty[static_cast<std::size_t>(p)] = 0;
-      }
-    };
-    if (multi_thread(scratch.arena))
-      scratch.arena->parallel_for(static_cast<int>(dirty.size()), kDelayGrain,
-                                  recompute);
-    else
-      recompute(0, 0, static_cast<int>(dirty.size()));
-    ++scratch.incremental_runs;
-    scratch.delays_recomputed += static_cast<std::int64_t>(dirty.size());
+    return;
   }
 
-  run_sweeps(net, scratch.delay_pos, scratch.at_pos, scratch.rt_pos,
-             r.critical_path, r.cp_vertex, scratch.arena);
-  export_report(pl, scratch.delay_pos, scratch.at_pos, scratch.rt_pos, r);
+  // Incremental: a vertex's delay depends on its own size and the sizes it
+  // loads, so the invalidated set is {changed} ∪ reverse loads of the
+  // changed vertices — all found on the flat reverse-load CSR, tracked as
+  // sweep positions.
+  auto& dirty = scratch.dirty;
+  dirty.clear();
+  auto mark = [&](int p) {
+    const std::size_t i = static_cast<std::size_t>(p);
+    if (!scratch.is_dirty[i]) {
+      scratch.is_dirty[i] = 1;
+      dirty.push_back(p);
+    }
+  };
+  auto mark_changed = [&](NodeId v) {
+    const int p = pl.pos_of[static_cast<std::size_t>(v)];
+    scratch.sizes_pos[static_cast<std::size_t>(p)] =
+        sizes[static_cast<std::size_t>(v)];
+    mark(p);
+    for (int k = pl.rload_off[static_cast<std::size_t>(p)];
+         k < pl.rload_off[static_cast<std::size_t>(p) + 1]; ++k)
+      mark(pl.rload_pos[static_cast<std::size_t>(k)]);
+  };
+  if (changed != nullptr) {
+    // Hinted path: trust the caller's change set, touch nothing else.
+    for (const NodeId v : *changed) {
+      const std::size_t i = static_cast<std::size_t>(v);
+      if (sizes[i] == scratch.last_sizes[i]) continue;
+      scratch.last_sizes[i] = sizes[i];
+      mark_changed(v);
+    }
+#ifndef NDEBUG
+    // A hint that misses a resized vertex silently corrupts every later
+    // report; cross-check the whole contract in debug builds.
+    for (std::size_t i = 0; i < n; ++i)
+      MFT_CHECK_MSG(sizes[i] == scratch.last_sizes[i],
+                    "run_sta changed-hint missed resized vertex " << i);
+#endif
+    ++scratch.hinted_runs;
+  } else {
+    for (NodeId v = 0; v < net.num_vertices(); ++v) {
+      const std::size_t i = static_cast<std::size_t>(v);
+      if (sizes[i] == scratch.last_sizes[i]) continue;
+      mark_changed(v);
+    }
+    scratch.last_sizes = sizes;
+  }
+  // The sweep starts at the lowest position whose delay actually changed.
+  int from = pl.n;
+  for (const int p : dirty) {
+    const std::size_t pi = static_cast<std::size_t>(p);
+    scratch.is_dirty[pi] = 0;
+    const double d = pl.delay_at(p, scratch.sizes_pos);
+    if (d == scratch.delay_pos[pi]) continue;
+    scratch.delay_pos[pi] = d;
+    from = std::min(from, p);
+  }
+  ++scratch.incremental_runs;
+  scratch.delays_recomputed += static_cast<std::int64_t>(dirty.size());
+  sweep_arrival(pl, scratch, from);
+}
+
+// Required step: RT(v) = CP − delay(v) at POs, min over fanouts elsewhere,
+// swept backward over all positions; then the export of the id-indexed
+// report — linear writes over the four report arrays, gathered reads from
+// the position arrays.
+const TimingReport& required_step(const SweepPlan& pl, TimingScratch& s) {
+  const int n = pl.n;
+  s.rt_pos.resize(static_cast<std::size_t>(n));
+  for (int p = n - 1; p >= 0; --p) {
+    const std::size_t pi = static_cast<std::size_t>(p);
+    double rt = kInf;
+    if (pl.sink[pi]) rt = s.critical_path - s.delay_pos[pi];
+    for (int k = pl.fanout_off[pi]; k < pl.fanout_off[pi + 1]; ++k)
+      rt = std::min(rt, s.rt_pos[static_cast<std::size_t>(pl.fanout_pos[
+                            static_cast<std::size_t>(k)])] -
+                            s.delay_pos[pi]);
+    s.rt_pos[pi] = rt;
+  }
+
+  TimingReport& r = s.report;
+  r.critical_path = s.critical_path;
+  r.cp_vertex =
+      s.cp_pos < 0 ? kInvalidNode : pl.vid[static_cast<std::size_t>(s.cp_pos)];
+  const std::size_t nv = static_cast<std::size_t>(n);
+  r.delay.resize(nv);
+  r.at.resize(nv);
+  r.rt.resize(nv);
+  r.slack.resize(nv);
+  for (std::size_t v = 0; v < nv; ++v) {
+    const std::size_t p = static_cast<std::size_t>(pl.pos_of[v]);
+    r.delay[v] = s.delay_pos[p];
+    r.at[v] = s.at_pos[p];
+    r.rt[v] = s.rt_pos[p];
+    r.slack[v] = s.rt_pos[p] - s.at_pos[p];
+  }
   return r;
 }
 }  // namespace
@@ -295,28 +196,58 @@ const TimingReport& run_sta_incremental(const SizingNetwork& net,
 TimingReport run_sta(const SizingNetwork& net, const std::vector<double>& sizes) {
   MFT_CHECK(net.frozen());
   MFT_CHECK(static_cast<int>(sizes.size()) == net.num_vertices());
-  const SweepPlan& pl = net.plan();
-  TimingReport r;
-  std::vector<double> sizes_pos, delay_pos, at_pos, rt_pos;
-  pl.gather(sizes, sizes_pos);
-  full_delay_pos(pl, sizes_pos, delay_pos, nullptr);
-  run_sweeps_sequential(pl, delay_pos, at_pos, rt_pos, r.critical_path,
-                        r.cp_vertex);
-  export_report(pl, delay_pos, at_pos, rt_pos, r);
-  return r;
+  TimingScratch scratch;
+  full_arrival(net.plan(), sizes, scratch);
+  required_step(net.plan(), scratch);
+  return std::move(scratch.report);
 }
 
 const TimingReport& run_sta(const SizingNetwork& net,
                             const std::vector<double>& sizes,
                             TimingScratch& scratch) {
-  return run_sta_incremental(net, sizes, scratch, nullptr);
+  arrival_step(net, sizes, scratch, nullptr);
+  return required_step(net.plan(), scratch);
 }
 
 const TimingReport& run_sta(const SizingNetwork& net,
                             const std::vector<double>& sizes,
                             TimingScratch& scratch,
                             const std::vector<NodeId>& changed) {
-  return run_sta_incremental(net, sizes, scratch, &changed);
+  arrival_step(net, sizes, scratch, &changed);
+  return required_step(net.plan(), scratch);
+}
+
+void run_arrival(const SizingNetwork& net, const std::vector<double>& sizes,
+                 TimingScratch& scratch, const std::vector<NodeId>& changed) {
+  arrival_step(net, sizes, scratch, &changed);
+}
+
+void critical_positions(const SweepPlan& pl, const TimingScratch& scratch,
+                        std::vector<int>& path) {
+  const std::vector<double>& at = scratch.at_pos;
+  const std::vector<double>& delay = scratch.delay_pos;
+  path.clear();
+  int cur = scratch.cp_pos;
+  while (cur >= 0) {
+    path.push_back(cur);
+    const std::size_t ci = static_cast<std::size_t>(cur);
+    int next = -1;
+    double best = -kInf;
+    for (int k = pl.fanin_off[ci]; k < pl.fanin_off[ci + 1]; ++k) {
+      const int j = pl.fanin_pos[static_cast<std::size_t>(k)];
+      const std::size_t jj = static_cast<std::size_t>(j);
+      const double end = at[jj] + delay[jj];
+      if (end > best ||
+          (end == best && next >= 0 &&
+           pl.vid[jj] < pl.vid[static_cast<std::size_t>(next)])) {
+        best = end;
+        next = j;
+      }
+    }
+    if (next >= 0 && best != at[ci]) next = -1;  // AT from the source floor
+    cur = next;
+  }
+  std::reverse(path.begin(), path.end());
 }
 
 double TimingReport::edge_slack(const SizingNetwork& net, ArcId a) const {

@@ -2,7 +2,7 @@
 // fixed set of worker threads and runs statically-partitioned parallel-for
 // regions over [0, n).
 //
-// Built for the level-parallel STA/W-phase sweeps, whose regions are many
+// Built for the level-parallel W-phase sweeps, whose regions are many
 // and tiny (one per levelization level), so the design goals are
 //
 //  - determinism: the partition of [0, n) into contiguous chunks is a pure

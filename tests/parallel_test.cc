@@ -7,13 +7,12 @@
 //    transistor lowering) the cached levels are a valid parallel schedule —
 //    no two same-level vertices share an arc or a load term, and every load
 //    term's orientation agrees with the topological order.
-//  - Bit-identity: parallel run_sta and solve_wphase (1/2/4 inner threads,
-//    including the changed-hint incremental path) match the sequential
-//    results bit for bit.
+//  - Bit-identity: parallel solve_wphase (2/4 inner threads, cold and
+//    warm-started) matches the sequential results bit for bit.
 //  - Hints and warm starts: the changed-hint STA path agrees with the
-//    scanning path under randomized updates; warm-started W-phase matches
-//    cold on triangular networks and converges to the same fixpoint on
-//    coupled ones.
+//    scanning and the full path under randomized updates; warm-started
+//    W-phase matches cold on triangular networks and converges to the
+//    same fixpoint on coupled ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,7 +181,7 @@ TEST(Levelization, IsValidParallelScheduleOnEveryGeneratedCircuit) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel STA bit-identity
+// Incremental STA: hinted vs scanning vs full
 // ---------------------------------------------------------------------------
 
 void expect_reports_identical(const TimingReport& a, const TimingReport& b) {
@@ -214,102 +213,36 @@ std::vector<NamedNet> identity_corpus() {
   return nets;
 }
 
-TEST(ParallelSta, BitIdenticalToSequentialAcrossThreadCounts) {
+TEST(IncrementalSta, HintedMatchesScanAndFull) {
   for (const NamedNet& t : identity_corpus()) {
     SCOPED_TRACE(t.name);
     const SizingNetwork& net = t.lc.net;
-    Rng rng(0xfeedu);
-    // A randomized trajectory of size updates, replayed identically
-    // against the sequential scratch and each parallel scratch.
-    std::vector<std::vector<double>> trail;
+    TimingScratch hinted;
+    TimingScratch scanned;
+    Rng rng(0xabcu);
     std::vector<double> x = net.min_sizes();
-    trail.push_back(x);
-    for (int step = 0; step < 12; ++step) {
-      const int moves = 1 + static_cast<int>(rng.index(5));
+    run_sta(net, x, hinted);
+    run_sta(net, x, scanned);
+    for (int step = 0; step < 10; ++step) {
+      std::vector<NodeId> changed;
+      const int moves = 1 + static_cast<int>(rng.index(4));
       for (int m = 0; m < moves; ++m) {
         const NodeId v = static_cast<NodeId>(
             rng.index(static_cast<std::size_t>(net.num_vertices())));
         if (net.is_source(v)) continue;
-        x[static_cast<std::size_t>(v)] =
-            std::min(net.tech().max_size,
-                     x[static_cast<std::size_t>(v)] * rng.uniform(1.0, 1.6));
+        x[static_cast<std::size_t>(v)] *= rng.uniform(1.01, 1.5);
+        changed.push_back(v);
       }
-      trail.push_back(x);
+      // Supersets and duplicates are part of the hint contract.
+      const std::vector<NodeId> once = changed;
+      changed.insert(changed.end(), once.begin(), once.end());
+      changed.push_back(0);
+      const TimingReport& h = run_sta(net, x, hinted, changed);
+      expect_reports_identical(run_sta(net, x, scanned), h);
+      expect_reports_identical(run_sta(net, x), h);
     }
-
-    TimingScratch seq;
-    std::vector<TimingReport> expected;
-    for (const auto& sizes : trail)
-      expected.push_back(run_sta(net, sizes, seq));  // copies the report
-
-    for (int threads : {2, 4}) {
-      SCOPED_TRACE(threads);
-      ThreadArena arena(threads);
-      TimingScratch par;
-      par.arena = &arena;
-      for (std::size_t i = 0; i < trail.size(); ++i) {
-        const TimingReport& got = run_sta(net, trail[i], par);
-        expect_reports_identical(expected[i], got);
-      }
-      EXPECT_EQ(par.full_runs, 1);
-      EXPECT_EQ(par.incremental_runs,
-                static_cast<std::int64_t>(trail.size()) - 1);
-    }
-  }
-}
-
-TEST(ParallelSta, HintedIncrementalMatchesScanAndFullAcrossThreadCounts) {
-  for (const NamedNet& t : identity_corpus()) {
-    SCOPED_TRACE(t.name);
-    const SizingNetwork& net = t.lc.net;
-    for (int threads : {1, 2, 4}) {
-      SCOPED_TRACE(threads);
-      ThreadArena arena(threads);
-      TimingScratch hinted;
-      hinted.arena = threads > 1 ? &arena : nullptr;
-      TimingScratch scanned;
-      Rng rng(0xabcu + static_cast<std::uint64_t>(threads));
-      std::vector<double> x = net.min_sizes();
-      run_sta(net, x, hinted);
-      run_sta(net, x, scanned);
-      for (int step = 0; step < 10; ++step) {
-        std::vector<NodeId> changed;
-        const int moves = 1 + static_cast<int>(rng.index(4));
-        for (int m = 0; m < moves; ++m) {
-          const NodeId v = static_cast<NodeId>(
-              rng.index(static_cast<std::size_t>(net.num_vertices())));
-          if (net.is_source(v)) continue;
-          x[static_cast<std::size_t>(v)] *= rng.uniform(1.01, 1.5);
-          changed.push_back(v);
-        }
-        // Supersets and duplicates are part of the hint contract.
-        const std::vector<NodeId> once = changed;
-        changed.insert(changed.end(), once.begin(), once.end());
-        changed.push_back(0);
-        const TimingReport& h = run_sta(net, x, hinted, changed);
-        expect_reports_identical(run_sta(net, x, scanned), h);
-        expect_reports_identical(run_sta(net, x), h);
-      }
-      EXPECT_EQ(hinted.hinted_runs, 10);
-      EXPECT_EQ(scanned.hinted_runs, 0);
-    }
-  }
-}
-
-TEST(ParallelSta, TilosWithArenaBitIdentical) {
-  const LoweredCircuit lc = lower_gate_level(make_alu(8), Tech{});
-  const double dmin = min_sized_delay(lc.net);
-  const TilosResult seq = run_tilos(lc.net, 0.6 * dmin);
-  for (int threads : {2, 4}) {
-    ThreadArena arena(threads);
-    const TilosResult par = run_tilos(lc.net, 0.6 * dmin, {}, &arena);
-    EXPECT_EQ(seq.met_target, par.met_target);
-    EXPECT_EQ(seq.bumps, par.bumps);
-    EXPECT_EQ(seq.area, par.area);
-    EXPECT_EQ(seq.achieved_delay, par.achieved_delay);
-    ASSERT_EQ(seq.sizes.size(), par.sizes.size());
-    for (std::size_t i = 0; i < seq.sizes.size(); ++i)
-      EXPECT_EQ(seq.sizes[i], par.sizes[i]) << i;
+    EXPECT_EQ(hinted.hinted_runs, 10);
+    EXPECT_EQ(scanned.hinted_runs, 0);
   }
 }
 

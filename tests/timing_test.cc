@@ -3,6 +3,9 @@
 // weights validated by finite differences through the W-phase.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "gen/blocks.h"
 #include "sizing/wphase.h"
 #include "timing/delay_balance.h"
@@ -308,6 +311,195 @@ TEST(SizingNetwork, CycleRejectedAtFreeze) {
   net.add_arc(va, vb);
   net.add_arc(vb, va);
   EXPECT_THROW(net.freeze(), CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// Arrival step (run_arrival) against the full reference
+// ---------------------------------------------------------------------------
+
+/// First difference between the scratch's arrival state — delay, AT, CP,
+/// cp vertex and the position-space critical path — and a fresh full
+/// run_sta plus critical_vertices; empty when they agree bit for bit.
+std::string arrival_mismatch(const SizingNetwork& net,
+                             const std::vector<double>& sizes,
+                             const TimingScratch& s) {
+  const SweepPlan& pl = net.plan();
+  const TimingReport ref = run_sta(net, sizes);
+  for (NodeId v = 0; v < net.num_vertices(); ++v) {
+    const std::size_t p =
+        static_cast<std::size_t>(pl.pos_of[static_cast<std::size_t>(v)]);
+    if (s.delay_pos[p] != ref.delay[static_cast<std::size_t>(v)])
+      return "delay of " + std::to_string(v);
+    if (s.at_pos[p] != ref.at[static_cast<std::size_t>(v)])
+      return "at of " + std::to_string(v);
+  }
+  if (s.critical_path != ref.critical_path) return "critical_path";
+  if (s.cp_pos < 0 || pl.vid[static_cast<std::size_t>(s.cp_pos)] != ref.cp_vertex)
+    return "cp_vertex";
+  std::vector<int> path;
+  critical_positions(pl, s, path);
+  std::vector<NodeId> ids;
+  for (const int p : path) ids.push_back(pl.vid[static_cast<std::size_t>(p)]);
+  if (ids != ref.critical_vertices(net)) return "critical path";
+  return {};
+}
+
+bool reports_identical(const TimingReport& a, const TimingReport& b) {
+  return a.delay == b.delay && a.at == b.at && a.rt == b.rt &&
+         a.slack == b.slack && a.critical_path == b.critical_path &&
+         a.cp_vertex == b.cp_vertex;
+}
+
+TEST(Arrival, MatchesFullStaAfterEveryChange) {
+  struct Case {
+    std::string name;
+    LoweredCircuit lc;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"c17", lower_gate_level(make_c17(), Tech{})});
+  cases.push_back({"alu8", lower_gate_level(make_alu(8), Tech{})});
+  RandomLogicParams prm;
+  prm.num_inputs = 32;
+  prm.num_gates = 600;
+  prm.seed = 5;
+  cases.push_back(
+      {"rnd600", lower_gate_level(make_random_logic(prm), Tech{})});
+  GateLoweringOptions wires;
+  wires.size_wires = true;
+  cases.push_back(
+      {"adder8+wires", lower_gate_level(make_ripple_adder(8), Tech{}, wires)});
+  cases.push_back(
+      {"adder4-trans", lower_transistor_level(make_ripple_adder(4), Tech{})});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SizingNetwork& net = c.lc.net;
+    const Tech& tech = net.tech();
+    Rng rng(0x5eedu);
+    std::vector<double> x = net.min_sizes();
+    // `hinted` runs the arrival step alone; `scanned` takes the scanning
+    // path through run_sta, which leaves the same arrival state behind.
+    TimingScratch hinted, scanned;
+    run_arrival(net, x, hinted, {});
+    run_sta(net, x, scanned);
+    ASSERT_EQ(arrival_mismatch(net, x, hinted), "");
+    ASSERT_EQ(arrival_mismatch(net, x, scanned), "");
+    for (int step = 0; step < 60; ++step) {
+      SCOPED_TRACE(step);
+      // Single-vertex changes (the TILOS bump) and multi-vertex ones, up
+      // and down, with an occasional exact undo so old values and ties
+      // come back through the incremental path.
+      const int moves = step % 3 == 0 ? 1 : 1 + static_cast<int>(rng.index(5));
+      std::vector<NodeId> changed;
+      for (int m = 0; m < moves; ++m) {
+        const NodeId v = static_cast<NodeId>(
+            rng.index(static_cast<std::size_t>(net.num_vertices())));
+        if (net.is_source(v)) continue;
+        double& xv = x[static_cast<std::size_t>(v)];
+        xv = step % 7 == 6 ? tech.min_size
+                           : std::clamp(xv * rng.uniform(0.7, 1.6),
+                                        tech.min_size, tech.max_size);
+        changed.push_back(v);
+      }
+      run_arrival(net, x, hinted, changed);
+      run_sta(net, x, scanned);
+      ASSERT_EQ(arrival_mismatch(net, x, hinted), "");
+      ASSERT_EQ(arrival_mismatch(net, x, scanned), "");
+      // The required step after a run of arrival-only steps: the whole
+      // report matches the reference.
+      if (step % 5 == 4) {
+        ASSERT_TRUE(reports_identical(run_sta(net, x, hinted, changed),
+                                      run_sta(net, x)));
+      }
+    }
+    EXPECT_EQ(hinted.full_runs, 1);
+    EXPECT_EQ(scanned.full_runs, 1);
+  }
+}
+
+TEST(Arrival, ExactTiesFollowTheReferenceRules) {
+  // Two hand-built networks of fixed delays (delay = (b + Σ loads)/x):
+  //  - CP tie: sinks Y and Z end at exactly 4. Load terms lift Z to level 3
+  //    while Y sits at level 2, so Z comes after Y in sweep order but
+  //    before it in topological order: the CP rule (lowest topological
+  //    position on ties) must pick Z.
+  //  - Path tie: D's fanins A (level 1) and C (level 2) end at exactly 2;
+  //    C has the lower id, so the walk must step to C although A has the
+  //    lower sweep position.
+  FixedDelayNet f1;
+  const NodeId s1 = f1.source("s");
+  const NodeId x1 = f1.vertex("X1", 1);
+  const NodeId x2 = f1.vertex("X2", 1);
+  const NodeId z = f1.vertex("Z", 3, /*po=*/true);
+  const NodeId y = f1.vertex("Y", 3, /*po=*/true);
+  f1.net.add_arc(s1, x1);
+  f1.net.add_arc(s1, x2);
+  f1.net.add_arc(s1, z);
+  f1.net.add_arc(x1, y);
+  f1.net.add_load(x2, x1, 1.0);
+  f1.net.add_load(z, x2, 1.0);
+  f1.net.freeze();
+  const SweepPlan& p1 = f1.net.plan();
+  ASSERT_LT(p1.pos_of[static_cast<std::size_t>(y)],
+            p1.pos_of[static_cast<std::size_t>(z)]);
+  ASSERT_LT(p1.topo_pos[static_cast<std::size_t>(
+                p1.pos_of[static_cast<std::size_t>(z)])],
+            p1.topo_pos[static_cast<std::size_t>(
+                p1.pos_of[static_cast<std::size_t>(y)])]);
+
+  FixedDelayNet f2;
+  const NodeId s2 = f2.source("s");
+  const NodeId c = f2.vertex("C", 1);
+  const NodeId a = f2.vertex("A", 2);
+  const NodeId b = f2.vertex("B", 1);
+  const NodeId d = f2.vertex("D", 1, /*po=*/true);
+  f2.net.add_arc(s2, a);
+  f2.net.add_arc(s2, b);
+  f2.net.add_arc(b, c);
+  f2.net.add_arc(a, d);
+  f2.net.add_arc(c, d);
+  f2.net.freeze();
+  const SweepPlan& p2 = f2.net.plan();
+  ASSERT_LT(p2.pos_of[static_cast<std::size_t>(a)],
+            p2.pos_of[static_cast<std::size_t>(c)]);
+
+  struct Net {
+    const FixedDelayNet* f;
+    NodeId cp;                 ///< expected CP vertex at unit sizes
+    std::vector<NodeId> path;  ///< expected critical path at unit sizes
+  };
+  for (const Net& t : {Net{&f1, z, {s1, z}}, Net{&f2, d, {s2, b, c, d}}}) {
+    const SizingNetwork& net = t.f->net;
+    const SweepPlan& pl = net.plan();
+    std::vector<double> x = t.f->unit_sizes();
+    const TimingReport ref = run_sta(net, x);
+    EXPECT_EQ(ref.cp_vertex, t.cp);
+    EXPECT_EQ(ref.critical_vertices(net), t.path);
+
+    // Break each tie by resizing one vertex, then restore it exactly, on
+    // both the hinted and the scanning path.
+    TimingScratch hinted, scanned;
+    run_arrival(net, x, hinted, {});
+    run_sta(net, x, scanned);
+    for (NodeId v = 0; v < net.num_vertices(); ++v) {
+      if (net.is_source(v)) continue;
+      SCOPED_TRACE(net.name(v));
+      for (const double size : {2.0, 1.0, 0.5, 1.0}) {
+        x[static_cast<std::size_t>(v)] = size;
+        run_arrival(net, x, hinted, {v});
+        run_sta(net, x, scanned);
+        EXPECT_EQ(arrival_mismatch(net, x, hinted), "");
+        EXPECT_EQ(arrival_mismatch(net, x, scanned), "");
+      }
+      EXPECT_EQ(pl.vid[static_cast<std::size_t>(hinted.cp_pos)], t.cp);
+      std::vector<int> path;
+      critical_positions(pl, hinted, path);
+      std::vector<NodeId> ids;
+      for (const int p : path)
+        ids.push_back(pl.vid[static_cast<std::size_t>(p)]);
+      EXPECT_EQ(ids, t.path);
+    }
+  }
 }
 
 }  // namespace
